@@ -106,7 +106,7 @@ def cmd_models(args, text, parsed):
     found = models.enumerate_models(spec, ModelBound(args.bound))
     result = {"bound": args.bound, "count": len(found),
               "models": [_model_json(spec.cat, m.functor) for m in found]}
-    return EXIT_OK, result, [], {"candidates": len(found)}
+    return EXIT_OK, result, [], {"models": len(found)}
 
 
 def cmd_chase(args, text, parsed):
@@ -225,6 +225,10 @@ def cmd_lattice_embed(args, text, parsed):
 
 def cmd_delta_check(args, text, parsed):
     spec = _require_site(parsed)
+    try:
+        ct = eventual.build_ctilde(spec, ModelBound(args.bound))
+    except eventual.BoundTooSmallError as exc:
+        return EXIT_INCONCLUSIVE, {"verdict": "INCONCLUSIVE", "detail": str(exc)}, [], {}
     mods = models.enumerate_models(spec, ModelBound(args.bound))
     functors = [m.functor for m in mods]
     pairs = 0
@@ -234,7 +238,6 @@ def cmd_delta_check(args, text, parsed):
             pairs += 1
             if not eventual.delta_iso_check(m, n, others=functors):
                 ok = False
-    ct = eventual.build_ctilde(spec, ModelBound(args.bound))
     certificates = {}
     for k, m in enumerate(functors):
         outcome = eventual.delta(ct, m)
@@ -253,7 +256,7 @@ def cmd_eta_check(args, text, parsed):
                  for k, m in enumerate(mods)}
     per_object = {cat.obj_name(v): ok
                   for v, ok in eventual.eta_component_check(
-                      spec, ModelBound(args.bound)).items()}
+                      spec, [m.functor for m in mods]).items()}
     ok = all(per_model.values()) and all(per_object.values())
     result = {"bound": args.bound, "eta_per_model": per_model,
               "ev_colimit_per_object": per_object, "all_pass": ok}
@@ -318,24 +321,31 @@ def _emit(args, command, digest, code, result, witnesses, timings):
     return code
 
 
+def _input_error(args, command, message):
+    if args.json:
+        sys.stdout.write(json.dumps(
+            {"command": command, "input_digest": None,
+             "result": {"error": message}, "witnesses": [], "timings": {}},
+            sort_keys=True, indent=2) + "\n")
+    sys.stderr.write(message + "\n")
+    return EXIT_INPUT
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
         text, parsed = _load(args.file)
     except (OSError, ParseError, ValidationError) as exc:
-        if args.json:
-            sys.stdout.write(json.dumps(
-                {"command": command, "input_digest": None,
-                 "result": {"error": str(exc)}, "witnesses": [], "timings": {}},
-                sort_keys=True, indent=2) + "\n")
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_INPUT
+        return _input_error(args, command, str(exc))
     try:
         code, result, witnesses, timings = HANDLERS[command](args, text, parsed)
     except (ValueError, ValidationError) as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_INPUT
+        return _input_error(args, command, str(exc))
+    except site_mod.MissingPullbackError as exc:
+        f, g = (parsed.cat.mor_name(arrow) for arrow in exc.cospan)
+        return _input_error(args, command,
+                            f"the site has no pullback of the cospan ({f}, {g})")
     return _emit(args, command, _digest(text), code, result, witnesses, timings)
 
 

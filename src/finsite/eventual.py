@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
                      all_nat_transformations, compose_nat, covariant_representable)
 from .models import (ModelBound, delta_pairing, elements_category,
-                     enumerate_lex_functors, enumerate_models, nat_transformations)
+                     enumerate_lex_functors, nat_transformations)
 from .site import SiteSpec
 
 
@@ -81,7 +81,8 @@ def build_ctilde(site: SiteSpec, bound: ModelBound) -> CTilde:
     for x in cat.objects:
         rep = covariant_representable(cat, x)
         if rep not in functors:
-            raise BoundTooSmallError(f"representable at {x} escapes the bound")
+            raise BoundTooSmallError(
+                f"representable at {cat.obj_name(x)} escapes the bound")
         phi_obj.append(functors.index(rep))
     phi_mor = []
     for f in cat.morphisms:
@@ -176,13 +177,13 @@ def delta_iso_check(m: SetValuedFunctor, n: SetValuedFunctor, others=()) -> bool
     return True
 
 
-def eta_component_check(site: SiteSpec, bound: ModelBound) -> dict[int, bool]:
-    """Per base object v: the evaluation functor on bounded models is the
-    canonical colimit of corepresentables over its category of elements,
-    checked by a union-find colimit against every model."""
+def eta_component_check(site: SiteSpec,
+                        functors: list[SetValuedFunctor]) -> dict[int, bool]:
+    """Per base object v: the evaluation functor on the given models (all
+    models at some bound) is the canonical colimit of corepresentables over
+    its category of elements, checked by a union-find colimit against every
+    model."""
     cat = site.cat
-    models = enumerate_models(site, bound)
-    functors = [model.functor for model in models]
     homs = {(i, j): nat_transformations(fi, fj)
             for i, fi in enumerate(functors) for j, fj in enumerate(functors)}
     report = {}

@@ -57,6 +57,17 @@ def _lex_probes(cat: FinCategory):
     return terminal, tuple(squares)
 
 
+def _square_holds(action, f, g, square) -> bool:
+    """The action tables send the pullback square over the cospan (f, g)
+    to a bijection onto the set-level fiber product."""
+    image = set(zip(action[square.to_left], action[square.to_right]))
+    if len(image) != len(action[square.to_left]):
+        return False
+    act_g = action[g]
+    return image == {(a, b) for a, fa in enumerate(action[f])
+                     for b, gb in enumerate(act_g) if fa == gb}
+
+
 def is_lex(cat: FinCategory, m: SetValuedFunctor) -> bool:
     """m sends the terminal object to a point and every canonical pullback
     square to a bijection onto the set-level fiber product."""
@@ -65,16 +76,7 @@ def is_lex(cat: FinCategory, m: SetValuedFunctor) -> bool:
     terminal, squares = _lex_probes(cat)
     if terminal is None or m.sizes[terminal] != 1:
         return False
-    for f, g, square in squares:
-        fiber = [(a, b)
-                 for a in m.carrier(cat.dom[f]) for b in m.carrier(cat.dom[g])
-                 if m.action[f][a] == m.action[g][b]]
-        image = [(m.action[square.to_left][p], m.action[square.to_right][p])
-                 for p in m.carrier(square.apex)]
-        if len(set(image)) != m.sizes[square.apex] or set(image) != set(fiber) \
-                or m.sizes[square.apex] != len(fiber):
-            return False
-    return True
+    return all(_square_holds(m.action, f, g, square) for f, g, square in squares)
 
 
 def preserves_covers(m: SetValuedFunctor, site: SiteSpec) -> bool:
@@ -89,24 +91,71 @@ def preserves_covers(m: SetValuedFunctor, site: SiteSpec) -> bool:
     return True
 
 
-def enumerate_set_functors(cat: FinCategory, bound: int,
-                           fixed_sizes=None, prune=None):
-    """All covariant functors with carriers <= bound, in lexicographic order
-    of (sizes, action tables), by backtracking over morphism actions.
+def enumerate_set_functors(cat: FinCategory, bound: int, prune=None, squares=()):
+    """All covariant functors with carriers <= bound, by backtracking.
 
-    ``prune(sizes)`` may reject a size assignment before actions are tried.
+    They come in lexicographic order of the size vector (object 0 most
+    significant, as ``itertools.product`` gives them), then of the action
+    tables of the non-identity morphisms in ascending id.
+
+    ``squares`` holds ``(f, g, square)`` pullback squares, as ``_lex_probes``
+    gives them, that the functor must send to set-level pullbacks.  Size
+    vectors are built object by object, and a prefix is cut as soon as an
+    arrow between two decided objects admits no function: from a non-empty
+    carrier to an empty one, or to a smaller carrier when a square with
+    identity legs says the arrow is mono.  ``prune(sizes)`` may reject a
+    complete size vector before actions are tried.  Each composition fact
+    g∘f = h (h an identity included) and each square is checked once, when
+    the last of its non-identity arrows is assigned.
     """
     nonid = [f for f in cat.morphisms if not cat.is_identity(f)]
-    # composition facts among non-identity morphisms, checked incrementally
-    triples = [(g, f, cat.comp[g][f]) for g in nonid for f in nonid
-               if cat.cod[f] == cat.dom[g] and not cat.is_identity(cat.comp[g][f])]
-    id_facts = [(g, f, cat.comp[g][f]) for g in cat.morphisms for f in cat.morphisms
-                if cat.cod[f] == cat.dom[g] and cat.is_identity(cat.comp[g][f])
-                and not (cat.is_identity(g) and cat.is_identity(f))]
+    position = {f: k for k, f in enumerate(nonid)}
 
-    size_choices = itertools.product(*[range(bound + 1) for _ in cat.objects]) \
-        if fixed_sizes is None else [tuple(fixed_sizes)]
-    for sizes in size_choices:
+    def level(*arrows):
+        return max((position[a] for a in arrows if a in position), default=None)
+
+    comp_facts = [[] for _ in nonid]
+    for g in nonid:
+        for f in nonid:
+            if cat.cod[f] == cat.dom[g]:
+                h = cat.comp[g][f]
+                comp_facts[level(g, f, h)].append((g, f, h))
+    square_facts = [[] for _ in nonid]
+    for f, g, square in squares:
+        k = level(f, g, square.to_left, square.to_right)
+        if k is not None:  # an all-identity square is the diagonal: always a bijection
+            square_facts[k].append((f, g, square))
+    # a square with identity legs says that f is mono: M(f) must be injective
+    monos = {f for f, g, square in squares
+             if cat.is_identity(square.to_left) and cat.is_identity(square.to_right)}
+
+    def fits(f, sizes):  # some function (injection if mono) dom f -> cod f exists
+        s, t = sizes[cat.dom[f]], sizes[cat.cod[f]]
+        return s <= t if f in monos else s == 0 or t > 0
+
+    # the arrows between x and the objects decided before it
+    between = [[f for f in cat.morphisms if cat.dom[f] != cat.cod[f]
+                and max(cat.dom[f], cat.cod[f]) == x] for x in cat.objects]
+
+    def size_vectors(sizes):
+        x = len(sizes)
+        if x == cat.n_objects:
+            yield tuple(sizes)
+            return
+        for s in range(bound + 1):
+            grown = sizes + [s]
+            if all(fits(f, grown) for f in between[x]):
+                yield from size_vectors(grown)
+
+    def consistent(action, k):
+        for g, f, h in comp_facts[k]:
+            act_g = action[g]
+            if tuple([act_g[v] for v in action[f]]) != action[h]:
+                return False
+        return all(_square_holds(action, f, g, square)
+                   for f, g, square in square_facts[k])
+
+    for sizes in size_vectors([]):
         if prune is not None and not prune(sizes):
             continue
         action = [None] * cat.n_morphisms
@@ -115,35 +164,25 @@ def enumerate_set_functors(cat: FinCategory, bound: int,
 
         def assign(k):
             if k == len(nonid):
-                for g, f, h in id_facts:  # g∘f an identity: composite must be too
-                    comp = tuple(action[g][v] for v in action[f])
-                    if comp != tuple(range(sizes[cat.dom[f]])):
-                        return
                 yield SetValuedFunctor(cat, COVARIANT, sizes, tuple(action))
                 return
             f = nonid[k]
-            src, tgt = sizes[cat.dom[f]], sizes[cat.cod[f]]
-            for table in itertools.product(range(tgt), repeat=src):
+            for table in itertools.product(range(sizes[cat.cod[f]]),
+                                           repeat=sizes[cat.dom[f]]):
                 action[f] = table
-                ok = True
-                for g, fa, h in triples:
-                    if action[g] is None or action[fa] is None or action[h] is None:
-                        continue
-                    if tuple(action[g][v] for v in action[fa]) != action[h]:
-                        ok = False
-                        break
-                if ok:
+                if consistent(action, k):
                     yield from assign(k + 1)
-            action[f] = None
 
         yield from assign(0)
 
 
 def enumerate_models(site: SiteSpec, bound: ModelBound) -> list[Model]:
     """All lex cover-preserving functors with carriers <= B, up to table
-    equality, lexicographically; terminal preservation prunes the size search."""
+    equality, lexicographically.  Terminal preservation prunes the size
+    search, the pullback squares are checked during it, and each survivor
+    is confirmed by ``is_lex``."""
     cat = site.cat
-    terminal, _ = _lex_probes(cat)
+    terminal, squares = _lex_probes(cat)
     if terminal is None:
         return []
 
@@ -156,7 +195,7 @@ def enumerate_models(site: SiteSpec, bound: ModelBound) -> list[Model]:
         return True
 
     out = []
-    for functor in enumerate_set_functors(cat, bound.max_carrier, prune=prune):
+    for functor in enumerate_set_functors(cat, bound.max_carrier, prune, squares):
         if is_lex(cat, functor) and preserves_covers(functor, site):
             out.append(Model(functor, True, True))
     return out
@@ -164,11 +203,11 @@ def enumerate_models(site: SiteSpec, bound: ModelBound) -> list[Model]:
 
 def enumerate_lex_functors(cat: FinCategory, bound: int) -> list[SetValuedFunctor]:
     """Lex functors with carriers <= B, no cover condition (feeds C-tilde)."""
-    terminal, _ = _lex_probes(cat)
+    terminal, squares = _lex_probes(cat)
     if terminal is None:
         return []
     return [fn for fn in enumerate_set_functors(
-                cat, bound, prune=lambda sizes: sizes[terminal] == 1)
+                cat, bound, lambda sizes: sizes[terminal] == 1, squares)
             if is_lex(cat, fn)]
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
 from finsite import limits
 from finsite.fincat import (COVARIANT, FinCategory, SetValuedFunctor,
                             make_category, poset_category, validate_set_functor)
@@ -31,6 +33,60 @@ def discrete2_category() -> FinCategory:
 def cospan_only_category() -> FinCategory:
     """u -> w <- v and nothing else: the cospan has no cone at all."""
     return make_category(3, [(0, 2), (1, 2)], {}, ("u", "v", "w"), ("f", "g"))
+
+
+def left_zero_monoid() -> FinCategory:
+    """One object with endomorphisms a, b composing by left projection."""
+    return make_category(1, [(0, 0), (0, 0)],
+                         {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 2},
+                         ("pt",), ("a", "b"))
+
+
+def iso_pair_category() -> FinCategory:
+    """Mutually inverse i: x -> y, j: y -> x under a terminal object T."""
+    # objects x=0, y=1, T=2; arrows i=3, j=4, tx=5, ty=6
+    return make_category(
+        3, [(0, 1), (1, 0), (0, 2), (1, 2)],
+        {(4, 3): 0, (3, 4): 1, (6, 3): 5, (5, 4): 6},
+        ("x", "y", "T"), ("i", "j", "tx", "ty"))
+
+
+@st.composite
+def posets(draw, max_objects):
+    """A leq matrix on 1..max_objects points: random pairs i < j, closed
+    transitively."""
+    n = draw(st.integers(min_value=1, max_value=max_objects))
+    bits = draw(st.lists(
+        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if bits[k]:
+                leq[i][j] = True
+            k += 1
+    for m in range(n):  # close transitively
+        for i in range(n):
+            for j in range(n):
+                if leq[i][m] and leq[m][j]:
+                    leq[i][j] = True
+    return leq
+
+
+def poset_site(leq) -> SiteSpec:
+    """The poset with every element covered by its immediate predecessors
+    when it has at least two, and the identity cover on a top if any."""
+    cat = poset_category(leq)
+    n = len(leq)
+    covers = [Family.make(y, [cat.identity[y]]) for y in range(n)
+              if all(leq[x][y] for x in range(n))]
+    for y in range(n):
+        below = [x for x in range(n) if x != y and leq[x][y]]
+        preds = [x for x in below
+                 if not any(z != x and leq[x][z] for z in below)]
+        if len(preds) >= 2:
+            covers.append(Family.make(y, [cat.hom(x, y)[0] for x in preds]))
+    return SiteSpec.make(cat, covers)
 
 
 def glue_site() -> SiteSpec:

@@ -306,7 +306,7 @@ def test_acceptance_10_delta_and_eta():
                 pairs += 1
         for m in models:
             assert eta_check(site, m), (name, m.sizes)
-        report = eta_component_check(site, ModelBound(2))
+        report = eta_component_check(site, models)
         assert all(report.values()), (name, report)
     elapsed = time.time() - start
     assert elapsed < 120.0

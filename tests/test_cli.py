@@ -184,3 +184,53 @@ def test_delta_and_eta_check_subcommands(capsys):
 def test_missing_file_exit_three(capsys):
     assert main(["check", "/nonexistent/site.site"]) == 3
     capsys.readouterr()
+
+
+FORK_SITE = """
+object x
+object y
+object z
+arrow f : x -> y
+arrow g : x -> y
+arrow q : y -> z
+arrow h : x -> z
+compose q . f = h
+compose q . g = h
+cover z <- [id_z]
+"""
+
+
+def test_delta_check_bound_too_small_is_inconclusive(capsys, tmp_path):
+    path = tmp_path / "fork.site"
+    path.write_text(FORK_SITE)  # hom(x, y) has two arrows: C(x,-) needs B >= 2
+    code, out = run_cli(capsys, "delta-check", str(path), "--bound", "1", "--json")
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "INCONCLUSIVE"
+    assert "escapes the bound" in result["detail"]
+
+
+def test_saturate_missing_pullback_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "cospan.site"
+    path.write_text("poset { a < T  b < T }\ncover T <- [id_T]\n"
+                    "cover T <- [a_to_T, b_to_T]\n")
+    code = main(["saturate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "a_to_T" in captured.err and "b_to_T" in captured.err
+
+
+def test_handler_error_prints_the_json_error_document(capsys):
+    code, out = run_cli(capsys, "models", fixture_path("diamond.site"),
+                        "--bound", "0", "--json")
+    assert code == 3
+    assert json.loads(out) == {"command": "models", "input_digest": None,
+                               "result": {"error": "bound must be at least 1"},
+                               "witnesses": [], "timings": {}}
+
+
+def test_models_counter_counts_models(capsys):
+    code, out = run_cli(capsys, "models", fixture_path("diamond.site"),
+                        "--bound", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["timings"] == {"models": 3}

@@ -109,10 +109,12 @@ def test_delta_iso_yoneda_case():
 
 
 def test_eta_component_check_point():
-    assert eta_component_check(POINT_SITE, ModelBound(1)) == {0: True}
+    models = [m.functor for m in enumerate_models(POINT_SITE, ModelBound(1))]
+    assert eta_component_check(POINT_SITE, models) == {0: True}
 
 
 def test_eta_component_check_all_fixtures():
     for name, site in ALL_SITES.items():
-        report = eta_component_check(site, ModelBound(1))
+        models = [m.functor for m in enumerate_models(site, ModelBound(1))]
+        report = eta_component_check(site, models)
         assert all(report.values()), (name, report)

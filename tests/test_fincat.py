@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finsite import fixtures
 from finsite.fincat import (UNDEFINED, FinCategory, NatTransData,
@@ -13,7 +12,7 @@ from finsite.fincat import (UNDEFINED, FinCategory, NatTransData,
                             poset_category, validate_category)
 from finsite.models import ModelBound, enumerate_models
 
-from helpers import fork_category
+from helpers import fork_category, left_zero_monoid, posets
 
 POINT = fixtures.load_site("point").cat
 DIAMOND = fixtures.load_site("diamond").cat
@@ -36,14 +35,6 @@ def _mutate(cat: FinCategory, **changes) -> FinCategory:
                   obj_names=cat.obj_names, mor_names=cat.mor_names)
     fields.update(changes)
     return FinCategory(**fields)
-
-
-def left_zero_monoid():
-    """One object with endomorphisms a, b composing by left projection."""
-    from finsite.fincat import make_category
-    return make_category(1, [(0, 0), (0, 0)],
-                         {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 2},
-                         ("pt",), ("a", "b"))
 
 
 def test_five_mutations_each_name_a_law():
@@ -179,20 +170,6 @@ def test_op_category_involutive_and_valid():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=5), st.data())
-def test_random_posets_validate(n, data):
-    bits = data.draw(st.lists(
-        st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bits[k]:
-                leq[i][j] = True
-            k += 1
-    for m in range(n):  # close transitively
-        for i in range(n):
-            for j in range(n):
-                if leq[i][m] and leq[m][j]:
-                    leq[i][j] = True
+@given(posets(max_objects=5))
+def test_random_posets_validate(leq):
     assert validate_category(poset_category(leq)) == []

@@ -3,16 +3,25 @@ the lex hull, and the Kan-extension point functor."""
 
 import itertools
 
+from hypothesis import given, settings
+
 from finsite import fixtures
-from finsite.fincat import COVARIANT, SetValuedFunctor, validate_set_functor
-from finsite.models import (ModelBound, delta_pairing, enumerate_models,
+from finsite.fincat import (COVARIANT, SetValuedFunctor, poset_category,
+                            validate_set_functor)
+from finsite.models import (ModelBound, _lex_probes, _square_holds,
+                            delta_pairing, enumerate_lex_functors,
+                            enumerate_models, enumerate_set_functors,
                             eta_check, lan_ay, lan_map, lex_hull,
                             nat_transformations, nat_via_limit, is_lex,
                             preserves_covers, subfunctor)
+from finsite.limits import pullback
 from finsite.presheaf import ay
+from finsite.site import Family, SiteSpec
 
-from helpers import slow_is_lex, slow_models, slow_preserves_covers, \
-    slow_enumerate_functors
+from helpers import (cospan_only_category, discrete2_category, fork_category,
+                     iso_pair_category, left_zero_monoid, poset_site, posets,
+                     slow_is_lex, slow_models, slow_preserves_covers,
+                     slow_enumerate_functors)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -65,6 +74,16 @@ def test_lex_fails_when_meet_carrier_is_wrong():
     assert validate_set_functor(fn) == []
     assert not is_lex(DIAMOND, fn)
     assert preserves_covers(fn, DIAMOND_SITE)
+
+
+def test_square_check_demands_an_injective_comparison():
+    """With M(0) = 2 over one-point carriers elsewhere, the comparison onto
+    the fiber product of a -> 1 <- b is onto but sends both points to one."""
+    meet = next(probe for probe in _lex_probes(DIAMOND)[1] if probe[:2] == (7, 8))
+    one_point = ((0,), (0,), (0,), (0,), (0,), (0,), (0,), (0,), (0,))
+    two_points = ((0, 1), (0,), (0,), (0,), (0, 0), (0, 0), (0, 0), (0,), (0,))
+    assert meet[2].apex == 0 and _square_holds(one_point, *meet)
+    assert not _square_holds(two_points, *meet)
 
 
 def test_nat_counts_and_limit_formula_agree():
@@ -198,3 +217,67 @@ def test_models_closed_under_chain_unions():
                     continue
                 # the chain small <= big has pointwise union big: still a model
                 assert is_lex(site.cat, big) and preserves_covers(big, site)
+
+
+def _site_on(cat):
+    """The category with the identity cover on every object."""
+    return SiteSpec.make(cat, [Family.make(x, [cat.identity[x]]) for x in cat.objects])
+
+
+def _assert_agrees_with_oracles(site, bound):
+    """Functors, lex functors and models come out as the slow oracles give
+    them, as sequences: same members, same order."""
+    cat = site.cat
+    slow = list(slow_enumerate_functors(cat, bound))
+    assert list(enumerate_set_functors(cat, bound)) == slow
+    slow_lex = [fn for fn in slow if slow_is_lex(cat, fn)]
+    assert enumerate_lex_functors(cat, bound) == slow_lex
+    terminal, squares = _lex_probes(cat)
+    if terminal is not None:  # the squares alone, without the is_lex confirmation
+        assert [fn for fn in enumerate_set_functors(cat, bound, squares=squares)
+                if fn.sizes[terminal] == 1] == slow_lex
+    assert [m.functor for m in enumerate_models(site, ModelBound(bound))] \
+        == slow_models(site, bound)
+
+
+def test_enumerators_match_oracles_in_order_on_small_categories():
+    for make in (fork_category, cospan_only_category, discrete2_category,
+                 left_zero_monoid, iso_pair_category):
+        for bound in (1, 2):
+            _assert_agrees_with_oracles(_site_on(make()), bound)
+
+
+def test_enumerators_match_oracles_on_a_site_without_pullbacks():
+    elements = range(1, 8)  # nonempty subsets of 3 points: disjoint pairs have no meet
+    site = poset_site([[a & b == a for b in elements] for a in elements])
+    cat = site.cat
+    assert any(len(fam.legs) > 1 for fam in site.covers)
+    assert any(pullback(cat, f, g) is None for f in cat.morphisms
+               for g in cat.morphisms if cat.cod[f] == cat.cod[g])
+    _assert_agrees_with_oracles(site, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets(max_objects=5))
+def test_enumerators_match_oracles_on_random_posets_at_bound_one(leq):
+    _assert_agrees_with_oracles(poset_site(leq), 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(posets(max_objects=3))
+def test_enumerators_match_oracles_on_random_posets_at_bound_two(leq):
+    _assert_agrees_with_oracles(poset_site(leq), 2)
+
+
+def test_size_search_meets_only_the_up_sets():
+    """On bool_4 at B=1 a size vector admits a functor iff its support is an
+    up-set; the search reaches exactly those, in product order."""
+    elements = range(16)
+    cat = poset_category([[a & b == a for b in elements] for a in elements])
+    seen = []
+    assert list(enumerate_set_functors(  # the prune records and rejects each vector
+        cat, 1, prune=lambda sizes: seen.append(sizes))) == []
+    up_sets = [sizes for sizes in itertools.product((0, 1), repeat=16)
+               if all(sizes[b] for a in elements for b in elements
+                      if sizes[a] and a & b == a)]
+    assert seen == up_sets and len(seen) == 168
