@@ -77,7 +77,6 @@ def _require_site(parsed) -> SiteSpec:
 
 def cmd_check(args, text, parsed):
     if isinstance(parsed, SiteSpec):
-        violations = []  # parse_document already validated; re-run for the report
         violations = site_mod.validate_site(parsed)
     else:
         violations = lattice.validate_lattice(parsed[0])
@@ -98,7 +97,9 @@ def cmd_saturate(args, text, parsed):
                                      for sieve in topology.covering_sieves(x)]
                    for x in cat.objects},
     }
-    return EXIT_OK, result, [], {"rounds": saturation.rounds}
+    return EXIT_OK, result, [], {"rounds": saturation.rounds,
+                                 "families": len(saturation.families),
+                                 "pastings": saturation.pastings}
 
 
 def cmd_models(args, text, parsed):

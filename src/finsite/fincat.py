@@ -92,6 +92,11 @@ class FinCategory:
             table[self.dom[f]].append(f)
         return tuple(tuple(cell) for cell in table)
 
+    @cached_property
+    def _pullback_table(self) -> dict:
+        """(f, g) -> canonical pullback square or None, filled by limits.pullback."""
+        return {}
+
     def is_identity(self, f: int) -> bool:
         return self.identity[self.dom[f]] == f
 

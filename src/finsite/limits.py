@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .fincat import FinCategory, FunctorData, NatTransData, SetValuedFunctor
 from .fincat import is_mono, validate_functor
@@ -113,18 +112,13 @@ class PullbackSquare:
 
 def pullback(cat: FinCategory, f: int, g: int):
     """Canonical pullback of the cospan (f, g), or None if absent."""
+    cache = cat._pullback_table
     key = (f, g)
-    cache = _pullback_cache(cat)
     if key not in cache:
         cone = limit(cat, cospan_diagram(cat, f, g))
         cache[key] = None if cone is None else PullbackSquare(
             cone.apex, cone.legs[0], cone.legs[1])
     return cache[key]
-
-
-@lru_cache(maxsize=None)
-def _pullback_cache(cat: FinCategory) -> dict:
-    return {}
 
 
 def terminal_object(cat: FinCategory):

@@ -9,7 +9,7 @@ terminate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import limits
@@ -94,13 +94,24 @@ def pullback_closure(site: SiteSpec) -> list[Family]:
 class SaturationResult:
     families: tuple[Family, ...]
     rounds: int
+    pastings: int = field(default=0, compare=False)  # pastings tried
 
-    def __contains__(self, fam):
-        return fam in self._family_set
 
-    @property
-    def _family_set(self):
-        return frozenset(self.families)
+def _mask(ids) -> int:
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The ids set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def tree_saturation(site: SiteSpec) -> SaturationResult:
@@ -109,37 +120,67 @@ def tree_saturation(site: SiteSpec) -> SaturationResult:
     Pasting replaces one leg f by {f∘g} over a saturated family on dom(f);
     iterated to a fixpoint this realizes every finite-height cotree, which is
     all of them at kappa = aleph_0 (no infinite branches exist).
+
+    Each round visits the families known at its start in ``Family.sort_key``
+    order and pastes every family on dom(f) into every leg f.  Families are
+    int masks of morphism ids, and each codomain keeps its families in
+    insertion order.  The evaluation is semi-naive: a (family, leg) pair
+    remembers how many families lay on dom(leg) when its previous inner loop
+    started, and pastes only those inserted since.  Pasting is a function of
+    (family, leg, inner), so a skipped pasting would only rediscover a known
+    family; every round therefore adds the same families in the same order
+    as pasting all pairs, and ``rounds`` is unchanged.  The rule is not "new
+    in the previous round": inner loops later in a round already see the
+    families added earlier in it, and that rule would defer those pastings
+    to the next round, which can change ``rounds``.
     """
     cat = site.cat
-    fams = set(pullback_closure(site))
+    by_codomain = {y: [] for y in cat.objects}  # masks in insertion order
+    known = {y: set() for y in cat.objects}  # the same masks, for membership
+    sort_key = {}  # (codomain, mask) -> Family.sort_key, computed once
+
+    def insert(codomain, mask):
+        if mask not in known[codomain]:
+            known[codomain].add(mask)
+            by_codomain[codomain].append(mask)
+            sort_key[codomain, mask] = (codomain, _bits(mask))
+
+    for fam in pullback_closure(site):
+        insert(fam.codomain, _mask(fam.legs))
     for f in cat.morphisms:
         if cat.is_iso(f):
-            fams.add(Family.make(cat.cod[f], [f]))
-    by_codomain = {}
-
-    def index(fam):
-        by_codomain.setdefault(fam.codomain, set()).add(fam)
-
-    for fam in fams:
-        index(fam)
-    rounds = 0
+            insert(cat.cod[f], 1 << f)
+    seen = {}  # (family, leg) -> families on dom(leg) already pasted into it
+    image = {f: {} for f in cat.morphisms}  # leg -> inner mask -> leg∘inner
+    rounds = pastings = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for fam in sorted(fams, key=Family.sort_key):
-            for leg in fam.legs:
+        for fam in sorted(sort_key, key=sort_key.__getitem__):
+            codomain, mask = fam
+            on_codomain = known[codomain]
+            for leg in sort_key[fam][1]:
                 dom = cat.dom[leg]
-                for inner in sorted(by_codomain.get(dom, ()), key=Family.sort_key):
-                    pasted_legs = set(fam.legs)
-                    pasted_legs.discard(leg)
-                    pasted_legs.update(cat.comp[leg][g] for g in inner.legs)
-                    pasted = Family.make(fam.codomain, pasted_legs)
-                    if pasted not in fams:
-                        fams.add(pasted)
-                        index(pasted)
+                inners = by_codomain[dom]
+                stop = len(inners)
+                start = seen.get((fam, leg), 0)
+                if start == stop:
+                    continue
+                seen[fam, leg] = stop
+                pastings += stop - start
+                base = mask & ~(1 << leg)
+                images = image[leg]
+                for inner in inners[start:stop]:
+                    pasted = images.get(inner)
+                    if pasted is None:
+                        pasted = images[inner] = _mask(
+                            cat.comp[leg][g] for g in sort_key[dom, inner][1])
+                    if base | pasted not in on_codomain:
+                        insert(codomain, base | pasted)
                         changed = True
-    return SaturationResult(tuple(sorted(fams, key=Family.sort_key)), rounds)
+    families = tuple(Family(*key) for key in sorted(sort_key.values()))
+    return SaturationResult(families, rounds, pastings)
 
 
 @dataclass(frozen=True)
@@ -181,14 +222,36 @@ def pull_sieve(cat: FinCategory, sieve: Sieve, h: int) -> Sieve:
 
 @lru_cache(maxsize=None)
 def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
+    """Every sieve on y, as the down-sets of into(y) under factorization.
+
+    Take the first undecided arrow f: either keep it with its principal sieve
+    {f∘g}, or drop it with every arrow that f factors through.  Each branch
+    stays consistent with the earlier choices, and the leaves are exactly the
+    down-sets, each reached once.
+    """
     arrows = cat.into(y)
     if len(arrows) > MAX_ARROWS_FOR_SIEVES:
         raise ValueError(f"too many arrows into {y} to enumerate sieves")
+    position = {f: i for i, f in enumerate(arrows)}
+    below = [0] * len(arrows)  # bit j: arrow j factors through arrow i
+    above = [0] * len(arrows)  # bit j: arrow i factors through arrow j
+    for i, f in enumerate(arrows):
+        for g in cat.into(cat.dom[f]):
+            j = position[cat.comp[f][g]]
+            below[i] |= 1 << j
+            above[j] |= 1 << i
+    everything = (1 << len(arrows)) - 1
     out = []
-    for k in range(len(arrows) + 1):
-        for subset in itertools.combinations(arrows, k):
-            if is_sieve(cat, y, subset):
-                out.append(Sieve(y, frozenset(subset)))
+    stack = [(0, 0)]  # (kept, dropped)
+    while stack:
+        kept, dropped = stack.pop()
+        undecided = everything & ~(kept | dropped)
+        if not undecided:
+            out.append(Sieve(y, frozenset(arrows[i] for i in _bits(kept))))
+            continue
+        i = (undecided & -undecided).bit_length() - 1
+        stack.append((kept | below[i], dropped))
+        stack.append((kept, dropped | above[i]))
     return tuple(sorted(out, key=Sieve.sort_key))
 
 

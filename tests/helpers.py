@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from finsite import limits
 from finsite.fincat import (COVARIANT, FinCategory, SetValuedFunctor,
                             make_category, poset_category, validate_set_functor)
-from finsite.site import Family, SiteSpec
+from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, is_sieve,
+                          pullback_closure)
 
 
 def fork_category() -> FinCategory:
@@ -87,6 +88,52 @@ def poset_site(leq) -> SiteSpec:
         if len(preds) >= 2:
             covers.append(Family.make(y, [cat.hom(x, y)[0] for x in preds]))
     return SiteSpec.make(cat, covers)
+
+
+def slow_tree_saturation(site: SiteSpec) -> SaturationResult:
+    """Naive pasting rounds: every round re-pastes every family on dom(f)
+    into every leg f of every known family."""
+    cat = site.cat
+    fams = set(pullback_closure(site))
+    for f in cat.morphisms:
+        if cat.is_iso(f):
+            fams.add(Family.make(cat.cod[f], [f]))
+    by_codomain = {}
+
+    def index(fam):
+        by_codomain.setdefault(fam.codomain, set()).add(fam)
+
+    for fam in fams:
+        index(fam)
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for fam in sorted(fams, key=Family.sort_key):
+            for leg in fam.legs:
+                dom = cat.dom[leg]
+                for inner in sorted(by_codomain.get(dom, ()), key=Family.sort_key):
+                    pasted_legs = set(fam.legs)
+                    pasted_legs.discard(leg)
+                    pasted_legs.update(cat.comp[leg][g] for g in inner.legs)
+                    pasted = Family.make(fam.codomain, pasted_legs)
+                    if pasted not in fams:
+                        fams.add(pasted)
+                        index(pasted)
+                        changed = True
+    return SaturationResult(tuple(sorted(fams, key=Family.sort_key)), rounds)
+
+
+def slow_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
+    """Every subset of into(y) that passes ``is_sieve``."""
+    arrows = cat.into(y)
+    out = []
+    for k in range(len(arrows) + 1):
+        for subset in itertools.combinations(arrows, k):
+            if is_sieve(cat, y, subset):
+                out.append(Sieve(y, frozenset(subset)))
+    return tuple(sorted(out, key=Sieve.sort_key))
 
 
 def glue_site() -> SiteSpec:

@@ -107,6 +107,18 @@ def test_saturate_json_stable_across_runs(capsys):
     assert len(document["result"]["sieves"]["star"]) == 1
 
 
+def test_saturate_json_on_diamond_is_byte_identical(capsys):
+    code1, out1 = run_cli(capsys, "saturate", fixture_path("diamond.site"), "--json")
+    code2, out2 = run_cli(capsys, "saturate", fixture_path("diamond.site"), "--json")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    document = json.loads(out1)
+    assert set(document["timings"]) == {"rounds", "families", "pastings"}
+    assert document["timings"]["rounds"] == document["result"]["rounds"] == 2
+    assert document["timings"]["families"] == len(document["result"]["families"]) == 8
+    assert document["timings"]["pastings"] > 0
+
+
 def test_models_subcommand_count(capsys):
     code, out = run_cli(capsys, "models", fixture_path("diamond.site"),
                         "--bound", "1", "--json")

@@ -3,16 +3,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from finsite import fixtures
-from finsite.fincat import FunctorData, identity_functor
-from finsite.site import (Family, MissingPullbackError, SiteSpec,
-                          all_sieves, family_covers, generate_sieve_topology,
+from finsite.fincat import FunctorData, identity_functor, poset_category
+from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
+                          SiteSpec, all_sieves, family_covers, generate_sieve_topology,
                           is_sieve, is_site_morphism,
                           maximal_sieve, pull_sieve, pullback_closure,
                           site_topology, tree_saturation, validate_site)
 
-from helpers import cospan_only_category
+from helpers import (cospan_only_category, discrete2_category, fork_category,
+                     iso_pair_category, left_zero_monoid, poset_site, posets,
+                     slow_sieves, slow_tree_saturation)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -75,6 +78,42 @@ def test_tree_saturation_against_full_pasting_oracle():
         assert got == _slow_saturation(site), name
 
 
+def _boolean_leq(k):
+    return [[a & b == a for b in range(2 ** k)] for a in range(2 ** k)]
+
+
+def _grid_leq(a, b):
+    cells = [(i, j) for i in range(a) for j in range(b)]
+    return [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells]
+
+
+def _iso_pair_site():
+    cat = iso_pair_category()
+    return SiteSpec.make(cat, [Family.make(2, [cat.identity[2]]),
+                               Family.make(2, [5, 6])])
+
+
+def test_tree_saturation_matches_naive_rounds():
+    sites = dict(ALL_SITES, grid_3x4=poset_site(_grid_leq(3, 4)),
+                 bool_3=poset_site(_boolean_leq(3)), iso_pair=_iso_pair_site())
+    for name, site in sites.items():
+        # equal families in the same order, and the same number of rounds
+        assert tree_saturation(site) == slow_tree_saturation(site), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_objects=6))
+def test_tree_saturation_matches_naive_rounds_on_random_posets(leq):
+    site = poset_site(leq)
+    try:
+        expected = slow_tree_saturation(site)
+    except MissingPullbackError:
+        with pytest.raises(MissingPullbackError):
+            tree_saturation(site)
+        return
+    assert tree_saturation(site) == expected
+
+
 def test_tree_saturation_examples():
     assert [f.legs for f in tree_saturation(POINT_SITE).families] == [(0,)]
     diamond = set(tree_saturation(DIAMOND_SITE).families)
@@ -106,6 +145,32 @@ def test_tree_saturation_is_a_closure_operator():
 def test_saturation_rounds_bounded_by_morphism_count():
     for name, site in ALL_SITES.items():
         assert tree_saturation(site).rounds <= site.cat.n_morphisms, name
+
+
+def test_all_sieves_matches_subset_oracle():
+    cats = {name: site.cat for name, site in ALL_SITES.items()}
+    cats.update(fork=fork_category(), left_zero_monoid=left_zero_monoid(),
+                iso_pair=iso_pair_category(), cospan_only=cospan_only_category(),
+                discrete=discrete2_category(), bool_3=poset_category(_boolean_leq(3)))
+    for name, cat in cats.items():
+        for y in cat.objects:
+            assert all_sieves(cat, y) == slow_sieves(cat, y), (name, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_objects=6))
+def test_all_sieves_matches_subset_oracle_on_random_posets(leq):
+    cat = poset_category(leq)
+    for y in cat.objects:
+        assert all_sieves(cat, y) == slow_sieves(cat, y)
+
+
+def test_all_sieves_guard_on_a_long_chain():
+    n = MAX_ARROWS_FOR_SIEVES + 1
+    cat = poset_category([[i <= j for j in range(n)] for i in range(n)])
+    assert len(all_sieves(cat, n - 2)) == n  # the n - 1 arrows form a chain
+    with pytest.raises(ValueError):
+        all_sieves(cat, n - 1)
 
 
 def test_sieve_topology_point():
