@@ -4,13 +4,16 @@ cover detection.
 
 Budgets are honest: BUDGET_EXCEEDED is a first-class outcome and no colimit
 is ever extrapolated from an unfinished branch.
+
+The per-site tables (task lists, dead and stable objects, verified branch
+colimits) live in ``SiteSpec._chase_table``, filled here on first use, so a
+chase step never hashes the site.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from . import limits
 from .fincat import constant_singleton, covariant_representable
@@ -75,39 +78,39 @@ def nonempty_covers(site: SiteSpec) -> list[Family]:
     return [fam for fam in site.covers if fam.legs]
 
 
-@lru_cache(maxsize=None)
 def _task_list(site: SiteSpec, u: int) -> tuple[Task, ...]:
     """T_u: every (arrow out of u, nonempty family on its codomain) diagram,
     ordered by (arrow id, family position)."""
-    cat = site.cat
-    fams = nonempty_covers(site)
-    out = []
-    for arrow in cat.out_of(u):
-        for fam in fams:
-            if fam.codomain == cat.cod[arrow]:
-                out.append(Task(-1, arrow, fam))
-    return tuple(out)
+    table = site._chase_table
+    key = ("tasks", u)
+    if key not in table:
+        cat = site.cat
+        fams = nonempty_covers(site)
+        table[key] = tuple(Task(-1, arrow, fam) for arrow in cat.out_of(u)
+                           for fam in fams if fam.codomain == cat.cod[arrow])
+    return table[key]
 
 
-@lru_cache(maxsize=None)
 def _dead_objects(site: SiteSpec) -> frozenset[int]:
     """Objects whose branches are written off: the strict initial (unless the
     site is degenerate and it is also terminal, where the dichotomy is
     non-exclusive) and everything that maps into an empty-covered object."""
-    cat = site.cat
-    dead = set()
-    initial = limits.strict_initial(cat)
-    terminal = limits.terminal_object(cat)
-    if initial is not None and initial != terminal:
-        dead.add(initial)
-    empty_covered = {fam.codomain for fam in site.covers if not fam.legs}
-    for x in cat.objects:
-        if any(cat.hom(x, z) for z in empty_covered):
-            dead.add(x)
-    return frozenset(dead)
+    table = site._chase_table
+    if "dead" not in table:
+        cat = site.cat
+        dead = set()
+        initial = limits.strict_initial(cat)
+        terminal = limits.terminal_object(cat)
+        if initial is not None and initial != terminal:
+            dead.add(initial)
+        empty_covered = {fam.codomain for fam in site.covers if not fam.legs}
+        for x in cat.objects:
+            if any(cat.hom(x, z) for z in empty_covered):
+                dead.add(x)
+        table["dead"] = frozenset(dead)
+    return table["dead"]
 
 
-@lru_cache(maxsize=None)
 def _stabilized_objects(site: SiteSpec) -> frozenset[int]:
     """u is stable when every arrow out of u factors through a leg of every
     scheduled family on its codomain: from such a u every present and future
@@ -116,23 +119,16 @@ def _stabilized_objects(site: SiteSpec) -> frozenset[int]:
     Quantifying over earlier stages is subsumed: composites out of u_n are
     themselves arrows out of u_n.
     """
-    cat = site.cat
-    out = set()
-    for u in cat.objects:
-        ok = True
-        for h in cat.out_of(u):
-            for fam in nonempty_covers(site):
-                if fam.codomain != cat.cod[h]:
-                    continue
-                if not any(cat.factors_through(h, leg) is not None
-                           for leg in fam.legs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(u)
-    return frozenset(out)
+    table = site._chase_table
+    if "stable" not in table:
+        cat = site.cat
+        fams = nonempty_covers(site)
+        table["stable"] = frozenset(
+            u for u in cat.objects
+            if all(any(cat.factors_through(h, leg) is not None for leg in fam.legs)
+                   for h in cat.out_of(u)
+                   for fam in fams if fam.codomain == cat.cod[h]))
+    return table["stable"]
 
 
 def solve_task(site: SiteSpec, branch_chain, task: Task, leg_index: int):
@@ -210,17 +206,28 @@ def run_branch(site: SiteSpec, root: int, strategy=FIRST_LEG,
 def branch_colimit(branch: ChaseBranch) -> Model:
     """DEAD branches yield the terminal copresheaf; stabilized ones the
     representable at the stable object, which is lex and preserves every
-    nonempty cover (the empty ones were cancelled from the list)."""
+    nonempty cover (the empty ones were cancelled from the list).
+
+    The model depends only on the status and, when stabilized, the current
+    object, so it is built and checked once per site and kept in its table.
+    """
     site = branch.site
     if branch.status == DEAD:
-        functor = constant_singleton(site.cat)
+        key = ("colimit", DEAD)
     elif branch.status == STABILIZED:
-        functor = covariant_representable(site.cat, branch.current)
+        key = ("colimit", STABILIZED, branch.current)
     else:
         raise ValueError("branch exceeded its budget; no colimit is computed")
-    nonempty = SiteSpec.make(site.cat, nonempty_covers(site))
-    return Model(functor, is_lex(site.cat, functor),
-                 preserves_covers(functor, nonempty))
+    table = site._chase_table
+    if key not in table:
+        if branch.status == DEAD:
+            functor = constant_singleton(site.cat)
+        else:
+            functor = covariant_representable(site.cat, branch.current)
+        nonempty = SiteSpec.make(site.cat, nonempty_covers(site))
+        table[key] = Model(functor, is_lex(site.cat, functor),
+                           preserves_covers(functor, nonempty))
+    return table[key]
 
 
 @dataclass(frozen=True)
@@ -280,6 +287,7 @@ class SeparationResult:
     verdict: str
     witness: Model | None = None
     witness_branch: ChaseBranch | None = None
+    leaves: int = field(default=0, compare=False)  # cotree leaves explored
 
 
 def separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
@@ -293,6 +301,7 @@ def separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
     if cat.factors_through(u, v) is not None:
         return SeparationResult(CONTAINED)
     tree = explore_cotree(site, root=cat.dom[u], budget=budget, width=width)
+    explored = len(tree.leaves)
     for branch in tree.leaves:
         if branch.status != STABILIZED:
             continue
@@ -302,8 +311,8 @@ def separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
         point = cat.comp[u][connect]       # [1_u] pushed into M(x)
         if not any(cat.comp[v][d] == point for d in cat.hom(w, cat.dom[v])):
             assert model.is_lex and model.preserves_covers
-            return SeparationResult(WITNESS, model, branch)
-    return SeparationResult(INCONCLUSIVE)
+            return SeparationResult(WITNESS, model, branch, explored)
+    return SeparationResult(INCONCLUSIVE, leaves=explored)
 
 
 @dataclass(frozen=True)

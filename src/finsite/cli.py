@@ -155,7 +155,7 @@ def cmd_separate(args, text, parsed):
         code = EXIT_OK
     else:
         code = EXIT_INCONCLUSIVE
-    return code, result, witnesses, {"budget": args.budget}
+    return code, result, witnesses, {"leaves": outcome.leaves}
 
 
 def cmd_sheafify(args, text, parsed):
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=64)
         p.add_argument("--width", type=int, default=0)
         p.add_argument("--strategy", default="first-leg")
-        p.add_argument("--seed", type=int, default=0)  # reserved; all ops deterministic
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
         return p

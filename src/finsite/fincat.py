@@ -97,6 +97,11 @@ class FinCategory:
         """(f, g) -> canonical pullback square or None, filled by limits.pullback."""
         return {}
 
+    @cached_property
+    def _lex_probe_table(self) -> dict:
+        """The terminal object and pullback squares, filled by models._lex_probes."""
+        return {}
+
     def is_identity(self, f: int) -> bool:
         return self.identity[self.dom[f]] == f
 

@@ -7,7 +7,11 @@ import itertools
 from dataclasses import dataclass
 
 from .fincat import FinCategory, FunctorData, NatTransData, SetValuedFunctor
-from .fincat import is_mono, validate_functor
+from .fincat import is_mono, make_category, validate_functor
+
+# the shapes • -> • <- • and • ⇉ •, built once
+COSPAN_SHAPE = make_category(3, [(0, 2), (1, 2)], {})
+PARALLEL_PAIR_SHAPE = make_category(2, [(0, 1), (0, 1)], {})
 
 
 @dataclass(frozen=True)
@@ -45,22 +49,18 @@ def cospan_diagram(cat: FinCategory, f: int, g: int) -> Diagram:
     """Shape • -> • <- • labeled by f: a -> c and g: b -> c."""
     if cat.cod[f] != cat.cod[g]:
         raise ValueError("cospan legs must share a codomain")
-    from .fincat import make_category
-    shape = make_category(3, [(0, 2), (1, 2)], {})
     a, b, c = cat.dom[f], cat.dom[g], cat.cod[f]
-    return Diagram(shape, FunctorData(
-        shape, cat, (a, b, c),
+    return Diagram(COSPAN_SHAPE, FunctorData(
+        COSPAN_SHAPE, cat, (a, b, c),
         (cat.identity[a], cat.identity[b], cat.identity[c], f, g)))
 
 
 def parallel_pair_diagram(cat: FinCategory, f: int, g: int) -> Diagram:
     if cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
         raise ValueError("morphisms are not parallel")
-    from .fincat import make_category
-    shape = make_category(2, [(0, 1), (0, 1)], {})
     x, y = cat.dom[f], cat.cod[f]
-    return Diagram(shape, FunctorData(
-        shape, cat, (x, y), (cat.identity[x], cat.identity[y], f, g)))
+    return Diagram(PARALLEL_PAIR_SHAPE, FunctorData(
+        PARALLEL_PAIR_SHAPE, cat, (x, y), (cat.identity[x], cat.identity[y], f, g)))
 
 
 def cones(cat: FinCategory, diagram: Diagram):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import limits
 from .fincat import (COVARIANT, FinCategory, NatTransData, SetValuedFunctor,
@@ -38,23 +37,25 @@ class Model:
                      preserves_covers(functor, site))
 
 
-@lru_cache(maxsize=None)
 def _lex_probes(cat: FinCategory):
     """Terminal object plus one canonical pullback square per cospan.
 
     At fixture scale these generate all finite limits; binary products are
     the cospans over the terminal object.
     """
-    terminal = limits.terminal_object(cat)
-    squares = []
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.cod[f] != cat.cod[g]:
-                continue
-            square = limits.pullback(cat, f, g)
-            if square is not None:
-                squares.append((f, g, square))
-    return terminal, tuple(squares)
+    table = cat._lex_probe_table
+    if "probes" not in table:
+        terminal = limits.terminal_object(cat)
+        squares = []
+        for f in cat.morphisms:
+            for g in cat.morphisms:
+                if cat.cod[f] != cat.cod[g]:
+                    continue
+                square = limits.pullback(cat, f, g)
+                if square is not None:
+                    squares.append((f, g, square))
+        table["probes"] = (terminal, tuple(squares))
+    return table["probes"]
 
 
 def _square_holds(action, f, g, square) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import limits
 from .fincat import FinCategory, FunctorData, validate_category, validate_functor
@@ -51,6 +51,13 @@ class SiteSpec:
 
     def covers_on(self, y: int):
         return [fam for fam in self.covers if fam.codomain == y]
+
+    @cached_property
+    def _chase_table(self) -> dict:
+        """Per-site chase data (task lists, dead and stable objects, branch
+        colimits), filled by the chase module.  It lives on the site, not
+        the category, because it depends on the covers."""
+        return {}
 
 
 def validate_site(site: SiteSpec) -> list[str]:

@@ -74,6 +74,11 @@ def posets(draw, max_objects):
     return leq
 
 
+def boolean_leq(k):
+    """The subsets of k points under inclusion, as a leq matrix."""
+    return [[a & b == a for b in range(2 ** k)] for a in range(2 ** k)]
+
+
 def poset_site(leq) -> SiteSpec:
     """The poset with every element covered by its immediate predecessors
     when it has at least two, and the identity cover on a top if any."""

@@ -1,20 +1,28 @@
 """The chase: pairing fairness, branch runs, colimits, separation, covers."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fixtures
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, DEAD, INCONCLUSIVE,
-                           STABILIZED, WITNESS, Task, branch_colimit,
-                           explore_cotree, family_jointly_covers, pairing,
+                           STABILIZED, WITNESS, ChaseBranch, Task,
+                           _dead_objects, _stabilized_objects, _task_list,
+                           branch_colimit, explore_cotree,
+                           family_jointly_covers, nonempty_covers, pairing,
                            run_branch, separate_subobjects, solve_task,
                            unpairing)
-from finsite.fincat import constant_singleton, covariant_representable
+from finsite.fincat import (FinCategory, constant_singleton,
+                            covariant_representable)
 from finsite.limits import strict_initial, subobject_lattice
-from finsite.models import ModelBound, enumerate_models
+from finsite.models import (Model, ModelBound, enumerate_models, is_lex,
+                            preserves_covers)
 from finsite.presheaf import extremal_epi_in_sh, sheafified_postcompose
 from finsite.site import Family, SiteSpec, site_topology
+
+from helpers import boolean_leq, poset_site
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -246,3 +254,79 @@ def test_empty_cover_reachability_kills_branches():
     for leaf in tree.leaves:
         if leaf.status == STABILIZED:
             assert branch_colimit(leaf).functor.sizes[0] == 0
+
+
+def _fresh(site):
+    """The same site over a new, equal category: every table starts empty."""
+    return SiteSpec(dataclasses.replace(site.cat), site.covers)
+
+
+def _stopped_at(site, obj, status):
+    """A terminated branch at obj; branch_colimit reads only these fields."""
+    return ChaseBranch(site, obj, ((obj, site.cat.identity[obj]),), (), (), status)
+
+
+def test_chase_tables_belong_to_the_site_not_the_category():
+    names = {DIAMOND.obj_name(x): x for x in DIAMOND.objects}
+    top, a = names["1"], names["a"]
+    other = SiteSpec.make(DIAMOND, [Family.make(top, [DIAMOND.identity[top]]),
+                                    Family.make(a, [])])
+    assert other.cat is DIAMOND_SITE.cat
+    # the two sites differ in every table, so a shared one would be wrong for one
+    assert _dead_objects(DIAMOND_SITE) != _dead_objects(other)
+    assert _stabilized_objects(DIAMOND_SITE) != _stabilized_objects(other)
+    assert _task_list(DIAMOND_SITE, a) != _task_list(other, a)
+    assert branch_colimit(_stopped_at(DIAMOND_SITE, top, STABILIZED)) \
+        != branch_colimit(_stopped_at(other, top, STABILIZED))
+    for site in (DIAMOND_SITE, other, DIAMOND_SITE):
+        fresh = _fresh(site)
+        assert _dead_objects(site) == _dead_objects(fresh)
+        assert _stabilized_objects(site) == _stabilized_objects(fresh)
+        for x in DIAMOND.objects:
+            assert _task_list(site, x) == _task_list(fresh, x)
+            for status in (STABILIZED, DEAD):
+                assert branch_colimit(_stopped_at(site, x, status)) \
+                    == branch_colimit(_stopped_at(fresh, x, status))
+
+
+def test_memoised_branch_colimits_equal_fresh_models():
+    sites = dict(ALL_SITES, bool_3=poset_site(boolean_leq(3)))
+    for name, site in sites.items():
+        cat = site.cat
+        nonempty = SiteSpec.make(cat, nonempty_covers(site))
+        for root in cat.objects:
+            for leaf in explore_cotree(site, root).leaves:
+                if leaf.status == BUDGET_EXCEEDED:
+                    continue
+                if leaf.status == DEAD:
+                    functor = constant_singleton(cat)
+                else:
+                    functor = covariant_representable(cat, leaf.current)
+                fresh = Model(functor, is_lex(cat, functor),
+                              preserves_covers(functor, nonempty))
+                assert branch_colimit(leaf) == fresh, (name, root)
+                assert branch_colimit(leaf) is branch_colimit(leaf)
+
+
+def test_warm_cotree_exploration_hashes_no_site(monkeypatch):
+    site = poset_site(boolean_leq(3))
+    for root in site.cat.objects:
+        explore_cotree(site, root)
+    calls = []
+
+    def counting(cls):
+        original = cls.__hash__
+
+        def wrapper(self):
+            calls.append(cls.__name__)
+            return original(self)
+        return wrapper
+
+    for cls in (SiteSpec, FinCategory):
+        monkeypatch.setattr(cls, "__hash__", counting(cls))
+    hash(site)
+    assert calls == ["SiteSpec", "FinCategory"]  # the wrappers are live
+    calls.clear()
+    for root in site.cat.objects:
+        explore_cotree(site, root)
+    assert calls == []

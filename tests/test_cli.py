@@ -119,6 +119,27 @@ def test_saturate_json_on_diamond_is_byte_identical(capsys):
     assert document["timings"]["pastings"] > 0
 
 
+def test_separate_json_on_diamond_is_byte_identical(capsys):
+    argv = ("separate", fixture_path("diamond.site"), "--object", "1",
+            "--u", "a", "--v", "b", "--budget", "32", "--json")
+    code1, out1 = run_cli(capsys, *argv)
+    code2, out2 = run_cli(capsys, *argv)
+    assert code1 == code2 == 1
+    assert out1 == out2
+    timings = json.loads(out1)["timings"]
+    assert "budget" not in timings
+    assert timings == {"leaves": 1}
+    _, out = run_cli(capsys, "separate", fixture_path("diamond.site"),
+                     "--object", "1", "--u", "0", "--v", "a", "--json")
+    assert json.loads(out)["timings"] == {"leaves": 0}  # contained by factorization
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", fixture_path("point.site"), "--seed", "1"])
+    capsys.readouterr()
+
+
 def test_models_subcommand_count(capsys):
     code, out = run_cli(capsys, "models", fixture_path("diamond.site"),
                         "--bound", "1", "--json")

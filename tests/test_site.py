@@ -13,9 +13,9 @@ from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
                           maximal_sieve, pull_sieve, pullback_closure,
                           site_topology, tree_saturation, validate_site)
 
-from helpers import (cospan_only_category, discrete2_category, fork_category,
-                     iso_pair_category, left_zero_monoid, poset_site, posets,
-                     slow_sieves, slow_tree_saturation)
+from helpers import (boolean_leq, cospan_only_category, discrete2_category,
+                     fork_category, iso_pair_category, left_zero_monoid,
+                     poset_site, posets, slow_sieves, slow_tree_saturation)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -78,10 +78,6 @@ def test_tree_saturation_against_full_pasting_oracle():
         assert got == _slow_saturation(site), name
 
 
-def _boolean_leq(k):
-    return [[a & b == a for b in range(2 ** k)] for a in range(2 ** k)]
-
-
 def _grid_leq(a, b):
     cells = [(i, j) for i in range(a) for j in range(b)]
     return [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells]
@@ -95,7 +91,7 @@ def _iso_pair_site():
 
 def test_tree_saturation_matches_naive_rounds():
     sites = dict(ALL_SITES, grid_3x4=poset_site(_grid_leq(3, 4)),
-                 bool_3=poset_site(_boolean_leq(3)), iso_pair=_iso_pair_site())
+                 bool_3=poset_site(boolean_leq(3)), iso_pair=_iso_pair_site())
     for name, site in sites.items():
         # equal families in the same order, and the same number of rounds
         assert tree_saturation(site) == slow_tree_saturation(site), name
@@ -151,7 +147,7 @@ def test_all_sieves_matches_subset_oracle():
     cats = {name: site.cat for name, site in ALL_SITES.items()}
     cats.update(fork=fork_category(), left_zero_monoid=left_zero_monoid(),
                 iso_pair=iso_pair_category(), cospan_only=cospan_only_category(),
-                discrete=discrete2_category(), bool_3=poset_category(_boolean_leq(3)))
+                discrete=discrete2_category(), bool_3=poset_category(boolean_leq(3)))
     for name, cat in cats.items():
         for y in cat.objects:
             assert all_sieves(cat, y) == slow_sieves(cat, y), (name, y)
