@@ -5,9 +5,9 @@ cover detection.
 Budgets are honest: BUDGET_EXCEEDED is a first-class outcome and no colimit
 is ever extrapolated from an unfinished branch.
 
-The per-site tables (task lists, dead and stable objects, verified branch
-colimits) live in ``SiteSpec._chase_table``, filled here on first use, so a
-chase step never hashes the site.
+The per-site tables (task lists and their stage-stamped columns, dead and
+stable objects, verified branch colimits) live in ``SiteSpec._chase_table``,
+filled here on first use, so a chase step never hashes the site.
 """
 
 from __future__ import annotations
@@ -88,6 +88,17 @@ def _task_list(site: SiteSpec, u: int) -> tuple[Task, ...]:
         fams = nonempty_covers(site)
         table[key] = tuple(Task(-1, arrow, fam) for arrow in cat.out_of(u)
                            for fam in fams if fam.codomain == cat.cod[arrow])
+    return table[key]
+
+
+def _task_column(site: SiteSpec, u: int, stage: int) -> tuple[Task, ...]:
+    """Column ``stage`` of a branch whose newest object is u: T_u stamped
+    with the stage.  It depends on nothing else, so every branch shares it."""
+    table = site._chase_table
+    key = ("column", u, stage)
+    if key not in table:
+        table[key] = tuple(Task(stage, t.arrow, t.family)
+                           for t in _task_list(site, u))
     return table[key]
 
 
@@ -183,8 +194,7 @@ def run_branch(site: SiteSpec, root: int, strategy=FIRST_LEG,
                 and cat.is_identity(chain[-1][1]) and u in stable:
             status = STABILIZED
             break
-        columns.append(tuple(Task(n, t.arrow, t.family)
-                             for t in _task_list(site, u)))
+        columns.append(_task_column(site, u, n))
         alpha, beta = unpairing(n)
         column = columns[beta]
         if not column:

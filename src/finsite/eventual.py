@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
                      all_nat_transformations, compose_nat, covariant_representable)
 from .models import (ModelBound, delta_pairing, elements_category,
-                     enumerate_lex_functors, nat_transformations)
+                     enumerate_lex_functors)
 from .site import SiteSpec
 
 
@@ -184,7 +184,7 @@ def eta_component_check(site: SiteSpec,
     its category of elements, checked by a union-find colimit against every
     model."""
     cat = site.cat
-    homs = {(i, j): nat_transformations(fi, fj)
+    homs = {(i, j): list(all_nat_transformations(fi, fj))
             for i, fi in enumerate(functors) for j, fj in enumerate(functors)}
     report = {}
     for v in cat.objects:

@@ -281,36 +281,105 @@ def downset_lattice(n_points: int, relation) -> FinLattice:
 
 
 def _canonical_form(lat: FinLattice):
-    """Isomorphism invariant by brute force over order-preserving bijections:
-    the lexicographically least leq matrix over all relabelings."""
-    n = lat.n
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mat = tuple(tuple(lat.leq[perm[a]][perm[b]] for b in range(n))
-                    for a in range(n))
-        if best is None or mat < best:
-            best = mat
-    return best
+    """Isomorphism invariant: the lexicographically least row-major leq
+    matrix over all n! relabelings, built row by row by individualization
+    and refinement.
+
+    The unplaced elements form an ordered partition whose blocks agree on
+    every placed row.  Placing p from the first block and splitting each
+    block into the elements p is not below, then those it is below, fixes
+    row k.  Only the candidates with the least row are branched on, and a
+    branch is cut once its rows exceed those of the best matrix found.
+    Any relation matrix works, not only orders: nothing assumes a lattice.
+    """
+    leq = lat.leq
+    n = len(leq)
+    best = []
+
+    def extend(placed, blocks, rows):
+        if len(placed) == n:
+            if not best or rows < best:
+                best[:] = rows
+            return
+        first, rest = blocks[0], blocks[1:]
+        candidates = []
+        for p in first:
+            row_p = leq[p]
+            split = []
+            for block in [[x for x in first if x != p], *rest]:
+                split.append([x for x in block if not row_p[x]])
+                split.append([x for x in block if row_p[x]])
+            split = [block for block in split if block]
+            row = (tuple(row_p[q] for q in placed) + (row_p[p],)
+                   + tuple(row_p[block[0]] for block in split for _ in block))
+            candidates.append((row, p, split))
+        least = min(row for row, _, _ in candidates)
+        rows = rows + [least]
+        if best and rows > best[:len(rows)]:
+            return
+        for row, p, split in candidates:
+            if row == least:
+                extend(placed + [p], split, rows)
+
+    extend([], [list(range(n))], [])
+    return tuple(best)
+
+
+def _natural_posets(n_points: int):
+    """Every transitive relation within the order 0 < 1 < ... as (relation,
+    predecessor masks), in ``itertools.product`` order over the pairs
+    (i, j), i < j, with the first pair most significant.
+
+    A pair (i, j) is decided after every pair into i and every (h, j) with
+    h < i, so adding it keeps the relation transitive exactly when the
+    predecessors of i already precede j; other prefixes are never extended.
+    """
+    pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
+    below = [0] * n_points
+    relation = []
+
+    def extend(t):
+        if t == len(pairs):
+            yield list(relation), list(below)
+            return
+        yield from extend(t + 1)
+        i, j = pairs[t]
+        if below[i] & ~below[j] == 0:
+            below[j] |= 1 << i
+            relation.append((i, j))
+            yield from extend(t + 1)
+            relation.pop()
+            below[j] &= ~(1 << i)
+
+    return extend(0)
+
+
+def _downset_count(below, limit: int) -> int:
+    """Downsets of a naturally labelled poset given as predecessor masks
+    (bit j of below[i] when j < i), counted up to limit + 1: point i joins
+    every downset of points < i that holds its predecessors."""
+    downsets = [0]
+    for i, mask in enumerate(below):
+        downsets += [d | 1 << i for d in downsets if mask & ~d == 0]
+        if len(downsets) > limit:
+            return limit + 1
+    return len(downsets)
 
 
 def distributive_catalogue(max_size: int = 6) -> list[FinLattice]:
     """Every distributive lattice with at most max_size elements, one per
     isomorphism class, via Birkhoff duality: downset lattices of all posets
-    on at most max_size - 1 points (relations within a linear extension)."""
+    on at most max_size - 1 points (relations within a linear extension).
+
+    Downsets are counted on bitmasks first, so only posets with at most
+    max_size downsets reach ``downset_lattice`` and the canonical form, in
+    enumeration order, and the first of each class is kept."""
     seen = {}
-    max_points = max_size - 1
-    for n_points in range(max_points + 1):
-        pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
-        for bits in itertools.product((0, 1), repeat=len(pairs)):
-            relation = [p for p, bit in zip(pairs, bits) if bit]
-            rel_set = set(relation)
-            ok = all((i, k) in rel_set
-                     for i, j in relation for j2, k in relation if j2 == j)
-            if not ok:
+    for n_points in range(max_size):
+        for relation, below in _natural_posets(n_points):
+            if _downset_count(below, max_size) > max_size:
                 continue
             lat = downset_lattice(n_points, relation)
-            if lat.n > max_size:
-                continue
             key = (lat.n, _canonical_form(lat))
             if key not in seen:
                 seen[key] = lat
@@ -344,7 +413,7 @@ def has_forbidden_sublattice(lat: FinLattice) -> bool:
     A subset counts when it is closed under the ambient meet and join and its
     induced order matches one of the two forbidden shapes.
     """
-    targets = [m3(), n5()]
+    targets = {_canonical_form(m3()), _canonical_form(n5())}
     for subset in itertools.combinations(lat.elements, 5):
         closed = all(lat.meet[a][b] in subset and lat.join[a][b] in subset
                      for a in subset for b in subset)
@@ -352,7 +421,6 @@ def has_forbidden_sublattice(lat: FinLattice) -> bool:
             continue
         sub_leq = FinLattice(tuple(
             tuple(lat.leq[a][b] for b in subset) for a in subset))
-        for target in targets:
-            if _canonical_form(sub_leq) == _canonical_form(target):
-                return True
+        if _canonical_form(sub_leq) in targets:
+            return True
     return False

@@ -212,10 +212,6 @@ def enumerate_lex_functors(cat: FinCategory, bound: int) -> list[SetValuedFuncto
             if is_lex(cat, fn)]
 
 
-def nat_transformations(m: SetValuedFunctor, n: SetValuedFunctor) -> list[NatTransData]:
-    return list(all_nat_transformations(m, n))
-
-
 def elements_category(m: SetValuedFunctor):
     """Objects of ∫M as (object, point) pairs in ascending order."""
     return [(x, p) for x in m.cat.objects for p in m.carrier(x)]
@@ -252,7 +248,7 @@ def delta_pairing(m: SetValuedFunctor, n: SetValuedFunctor):
     Returns (nats, families, pairing) where pairing[i] is the family index
     of the i-th transformation, or None when some image is not a family.
     """
-    nats = nat_transformations(m, n)
+    nats = list(all_nat_transformations(m, n))
     families = nat_via_limit(m, n)
     index = {fam: k for k, fam in enumerate(families)}
     elems = elements_category(m)

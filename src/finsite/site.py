@@ -54,9 +54,10 @@ class SiteSpec:
 
     @cached_property
     def _chase_table(self) -> dict:
-        """Per-site chase data (task lists, dead and stable objects, branch
-        colimits), filled by the chase module.  It lives on the site, not
-        the category, because it depends on the covers."""
+        """Per-site chase data (task lists and stage-stamped columns, dead
+        and stable objects, branch colimits), filled by the chase module.
+        It lives on the site, not the category, because it depends on the
+        covers."""
         return {}
 
 

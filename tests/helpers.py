@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from finsite import limits
 from finsite.fincat import (COVARIANT, FinCategory, SetValuedFunctor,
                             make_category, poset_category, validate_set_functor)
+from finsite.lattice import FinLattice, downset_lattice
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, is_sieve,
                           pullback_closure)
 
@@ -227,3 +228,40 @@ def nat_is_pointwise_bijective(alpha) -> bool:
     return nat_is_pointwise_injective(alpha) and all(
         alpha.source.sizes[x] == alpha.target.sizes[x]
         for x in alpha.source.cat.objects)
+
+
+def slow_canonical_form(lat: FinLattice):
+    """Isomorphism invariant by brute force: the lexicographically least leq
+    matrix over all n! relabelings."""
+    n = lat.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        mat = tuple(tuple(lat.leq[perm[a]][perm[b]] for b in range(n))
+                    for a in range(n))
+        if best is None or mat < best:
+            best = mat
+    return best
+
+
+def slow_distributive_catalogue(max_size: int = 6) -> list[FinLattice]:
+    """Every distributive lattice with at most max_size elements, one per
+    isomorphism class, via Birkhoff duality: downset lattices of all posets
+    on at most max_size - 1 points (relations within a linear extension)."""
+    seen = {}
+    max_points = max_size - 1
+    for n_points in range(max_points + 1):
+        pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            relation = [p for p, bit in zip(pairs, bits) if bit]
+            rel_set = set(relation)
+            ok = all((i, k) in rel_set
+                     for i, j in relation for j2, k in relation if j2 == j)
+            if not ok:
+                continue
+            lat = downset_lattice(n_points, relation)
+            if lat.n > max_size:
+                continue
+            key = (lat.n, slow_canonical_form(lat))
+            if key not in seen:
+                seen[key] = lat
+    return [seen[key] for key in sorted(seen)]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from finsite import fixtures
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, DEAD, INCONCLUSIVE,
                            STABILIZED, WITNESS, ChaseBranch, Task,
-                           _dead_objects, _stabilized_objects, _task_list,
-                           branch_colimit, explore_cotree,
+                           _dead_objects, _stabilized_objects, _task_column,
+                           _task_list, branch_colimit, explore_cotree,
                            family_jointly_covers, nonempty_covers, pairing,
                            run_branch, separate_subobjects, solve_task,
                            unpairing)
@@ -276,6 +276,7 @@ def test_chase_tables_belong_to_the_site_not_the_category():
     assert _dead_objects(DIAMOND_SITE) != _dead_objects(other)
     assert _stabilized_objects(DIAMOND_SITE) != _stabilized_objects(other)
     assert _task_list(DIAMOND_SITE, a) != _task_list(other, a)
+    assert _task_column(DIAMOND_SITE, a, 3) != _task_column(other, a, 3)
     assert branch_colimit(_stopped_at(DIAMOND_SITE, top, STABILIZED)) \
         != branch_colimit(_stopped_at(other, top, STABILIZED))
     for site in (DIAMOND_SITE, other, DIAMOND_SITE):
@@ -284,6 +285,11 @@ def test_chase_tables_belong_to_the_site_not_the_category():
         assert _stabilized_objects(site) == _stabilized_objects(fresh)
         for x in DIAMOND.objects:
             assert _task_list(site, x) == _task_list(fresh, x)
+            for stage in (0, 3):
+                column = _task_column(site, x, stage)
+                assert column == _task_column(fresh, x, stage)
+                assert column == tuple(dataclasses.replace(t, stage=stage)
+                                       for t in _task_list(site, x))
             for status in (STABILIZED, DEAD):
                 assert branch_colimit(_stopped_at(site, x, status)) \
                     == branch_colimit(_stopped_at(fresh, x, status))

@@ -3,14 +3,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from finsite.lattice import (FinLattice, InconclusiveError,
-                             NonDistributiveError, birkhoff_embed, complements,
+                             NonDistributiveError, _canonical_form,
+                             birkhoff_embed, complements,
                              distributive_catalogue, downset_lattice,
                              has_forbidden_sublattice, is_2_distributive_identity,
                              is_distributive, join_irreducibles, lattice_site,
                              m3, model_embed, n5, validate_lattice)
 from finsite.site import validate_site
+
+from helpers import posets, slow_canonical_form, slow_distributive_catalogue
 
 
 def chain(n):
@@ -156,6 +160,32 @@ def test_catalogue_has_thirteen_lattices_up_to_six_elements():
     assert sorted(lat.n for lat in catalogue) \
         == [1, 2, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6]
     assert all(is_distributive(lat) for lat in catalogue)
+
+
+def test_catalogue_has_twenty_one_lattices_up_to_seven_elements():
+    catalogue = distributive_catalogue(7)
+    sizes = [lat.n for lat in catalogue]
+    assert {n: sizes.count(n) for n in set(sizes)} \
+        == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8}  # OEIS A006982
+    assert all(is_distributive(lat) for lat in catalogue)
+
+
+def test_canonical_form_matches_brute_force_on_lattices():
+    for lat in distributive_catalogue(7) + [m3(), n5()]:
+        assert _canonical_form(lat) == slow_canonical_form(lat), lat.leq
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(6))
+def test_canonical_form_matches_brute_force_on_posets(leq):
+    lat = FinLattice(tuple(tuple(row) for row in leq))
+    assert _canonical_form(lat) == slow_canonical_form(lat)
+
+
+@pytest.mark.parametrize("max_size", range(1, 8))
+def test_catalogue_matches_brute_force_in_order(max_size):
+    assert [lat.leq for lat in distributive_catalogue(max_size)] \
+        == [lat.leq for lat in slow_distributive_catalogue(max_size)]
 
 
 def test_both_routes_verify_on_the_whole_catalogue():

@@ -6,14 +6,15 @@ import itertools
 from hypothesis import given, settings
 
 from finsite import fixtures
-from finsite.fincat import (COVARIANT, SetValuedFunctor, poset_category,
+from finsite.fincat import (COVARIANT, SetValuedFunctor,
+                            all_nat_transformations, poset_category,
                             validate_set_functor)
 from finsite.models import (ModelBound, _lex_probes, _square_holds,
                             delta_pairing, enumerate_lex_functors,
                             enumerate_models, enumerate_set_functors,
                             eta_check, lan_ay, lan_map, lex_hull,
-                            nat_transformations, nat_via_limit, is_lex,
-                            preserves_covers, subfunctor)
+                            nat_via_limit, is_lex, preserves_covers,
+                            subfunctor)
 from finsite.limits import pullback
 from finsite.presheaf import ay
 from finsite.site import Family, SiteSpec
@@ -94,7 +95,7 @@ def test_nat_counts_and_limit_formula_agree():
             assert pairing is not None
             assert len(nats) == len(families) == len(set(pairing))
     # frozen counts: models sorted as (0,0,1,1), (0,1,0,1), (1,1,1,1)
-    grid = [[len(nat_transformations(m, n)) for n in models] for m in models]
+    grid = [[len(list(all_nat_transformations(m, n))) for n in models] for m in models]
     assert grid == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
     assert [len(nat_via_limit(m, n)) for m in models for n in models] \
         == [1, 0, 1, 0, 1, 1, 0, 0, 1]
@@ -210,7 +211,7 @@ def test_models_closed_under_chain_unions():
                 if small.sizes == big.sizes:
                     continue
                 inclusions = [alpha for alpha
-                              in nat_transformations(small, big)
+                              in all_nat_transformations(small, big)
                               if all(len(set(alpha.components[x])) == small.sizes[x]
                                      for x in site.cat.objects)]
                 if not inclusions:
