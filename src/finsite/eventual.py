@@ -186,6 +186,11 @@ def eta_component_check(site: SiteSpec,
     cat = site.cat
     homs = {(i, j): list(all_nat_transformations(fi, fj))
             for i, fi in enumerate(functors) for j, fj in enumerate(functors)}
+    hom_index = {}  # (i, j) -> components -> first index in homs[(i, j)]
+    for key, hom in homs.items():
+        index = hom_index[key] = {}
+        for k, alpha in enumerate(hom):
+            index.setdefault(alpha.components, k)
     report = {}
     for v in cat.objects:
         elems = [(i, p) for i, fn in enumerate(functors) for p in fn.carrier(v)]
@@ -212,9 +217,7 @@ def eta_component_check(site: SiteSpec,
                         q = beta.components[v][p]
                         for a, alpha in enumerate(homs[(j, t)]):
                             composed = compose_nat(alpha, beta)
-                            a_index = next(
-                                k for k, cand in enumerate(homs[(i, t)])
-                                if cand.components == composed.components)
+                            a_index = hom_index[(i, t)][composed.components]
                             union((j, q, a), (i, p, a_index))
             classes = {}
             for tr in triples:

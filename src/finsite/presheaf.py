@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .fincat import (CONTRAVARIANT, FinCategory, NatTransData, SetValuedFunctor,
                      all_nat_transformations, compose_nat, op_category,
@@ -58,16 +58,15 @@ def matching_families(p: SetValuedFunctor, sieve: Sieve):
     return arrows, out
 
 
-def _agrees_on_refinement(cat, topology, x, fam1, fam2):
-    """(S1,m1) ~ (S2,m2): agreement on some covering sieve inside S1 ∩ S2."""
-    (s1, pos1, m1), (s2, pos2, m2) = fam1, fam2
-    meet = s1.arrows & s2.arrows
-    for s3 in topology.covering_sieves(x):
-        if not s3.arrows <= meet:
-            continue
-        if all(m1[pos1[f]] == m2[pos2[f]] for f in s3.arrows):
-            return True
-    return False
+def _families_on(p: SetValuedFunctor, sieve: Sieve):
+    """``matching_families`` without the product when the sieve holds the
+    identity: then it is maximal, and its families are exactly (P(f)(s))_f
+    for s in P(x)."""
+    x = sieve.target
+    if p.cat.identity[x] not in sieve.arrows:
+        return matching_families(p, sieve)
+    arrows = _sorted_arrows(sieve)
+    return arrows, sorted([tuple([p.action[f][s] for f in arrows]) for s in p.carrier(x)])
 
 
 @dataclass(frozen=True)
@@ -79,84 +78,66 @@ class PlusData:
     topology: SieveTopology
     presheaf: SetValuedFunctor
     unit: NatTransData
-    # per object: one (sieve, arrows, assignment) representative per class
+    # per object: one (J₀(x), arrows, assignment) representative per class
     representatives: tuple[tuple[tuple[Sieve, tuple[int, ...], tuple[int, ...]], ...], ...]
 
+    @cached_property
+    def _class_ids(self) -> tuple[dict, ...]:
+        """Per object: representative assignment -> class id, built on the
+        first ``class_of`` call only."""
+        return tuple({assignment: k for k, (_, _, assignment) in enumerate(reps)}
+                     for reps in self.representatives)
+
     def class_of(self, x: int, sieve: Sieve, assignment: tuple[int, ...]) -> int:
-        position = {f: k for k, f in enumerate(_sorted_arrows(sieve))}
-        candidate = (sieve, position, assignment)
-        for k, (rsieve, rarrows, rassign) in enumerate(self.representatives[x]):
-            rpos = {f: i for i, f in enumerate(rarrows)}
-            if _agrees_on_refinement(self.source.cat, self.topology, x,
-                                     candidate, (rsieve, rpos, rassign)):
-                return k
-        raise ValueError("assignment is not a matching family over a covering sieve")
+        """The class of a matching family over a covering sieve: the class of
+        its restriction to J₀(x)."""
+        least = self.topology.least[x]
+        k = None
+        if least.arrows <= sieve.arrows:
+            position = {f: i for i, f in enumerate(_sorted_arrows(sieve))}
+            k = self._class_ids[x].get(
+                tuple(assignment[position[f]] for f in _sorted_arrows(least)))
+        if k is None:
+            raise ValueError("assignment is not a matching family over a covering sieve")
+        return k
 
 
 @lru_cache(maxsize=None)
 def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
-    """The +-construction: sections are classes of matching families over
-    covering sieves, identified on common refining covers."""
+    """The +-construction: P⁺(x) is the matching families over the least
+    covering sieve J₀(x), in lexicographic order.
+
+    P⁺(x) is the colimit of the matching families over the covering sieves on
+    x under reverse inclusion, identified on common refining covers (Mac
+    Lane-Moerdijk III.5).  J₀(x) is the least covering sieve, so two families
+    are identified iff they agree on J₀(x), and each class holds exactly one
+    family on J₀(x).  J₀(x) also comes first in ``Sieve.sort_key`` order, so
+    that family is the least one of its class.  Restriction and the unit
+    restrict to J₀ of the domain and look the result up.
+    """
     cat = p.cat
-    fams_by_obj = []
-    classes_by_obj = []
-    for x in cat.objects:
-        fams = []
-        for sieve in topology.covering_sieves(x):
-            arrows, assignments = matching_families(p, sieve)
-            pos = {f: k for k, f in enumerate(arrows)}
-            for assignment in assignments:
-                fams.append((sieve, arrows, pos, assignment))
-        classes = []  # list of lists of family indices
-        for i, (s1, a1, p1, m1) in enumerate(fams):
-            placed = False
-            for cls in classes:
-                s2, a2, p2, m2 = fams[cls[0]]
-                if _agrees_on_refinement(cat, topology, x, (s1, p1, m1), (s2, p2, m2)):
-                    cls.append(i)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([i])
-        fams_by_obj.append(fams)
-        classes_by_obj.append(classes)
+    least = [_sorted_arrows(topology.least[x]) for x in cat.objects]
+    families = [_families_on(p, topology.least[x])[1] for x in cat.objects]
+    index = [{m: k for k, m in enumerate(fams)} for fams in families]
+    position = [{f: k for k, f in enumerate(arrows)} for arrows in least]
+    sizes = tuple(len(fams) for fams in families)
 
-    reps = tuple(
-        tuple((fams[cls[0]][0], fams[cls[0]][1], fams[cls[0]][3]) for cls in classes)
-        for fams, classes in zip(fams_by_obj, classes_by_obj))
-    sizes = tuple(len(classes) for classes in classes_by_obj)
-
-    def locate(x, sieve, assignment):
-        pos = {f: k for k, f in enumerate(_sorted_arrows(sieve))}
-        for k, (rs, ra, rm) in enumerate(reps[x]):
-            rpos = {f: i for i, f in enumerate(ra)}
-            if _agrees_on_refinement(cat, topology, x,
-                                     (sieve, pos, assignment), (rs, rpos, rm)):
-                return k
-        raise AssertionError("matching family escaped its own classes")
-
+    # tuples are built from lists: the plus cache keeps them, and a tuple
+    # built from a generator can keep an over-allocated block
     action = []
     for f in cat.morphisms:
         x, z = cat.cod[f], cat.dom[f]  # contravariant: restrict along f: z -> x
-        column = []
-        for rs, ra, rm in reps[x]:
-            pulled = Sieve(z, frozenset(
-                g for g in cat.into(z) if cat.comp[f][g] in rs.arrows))
-            pos = {a: k for k, a in enumerate(ra)}
-            assignment = tuple(rm[pos[cat.comp[f][g]]]
-                               for g in _sorted_arrows(pulled))
-            column.append(locate(z, pulled, assignment))
-        action.append(tuple(column))
+        through = [position[x][cat.comp[f][g]] for g in least[z]]  # J₀(z) ⊆ f*J₀(x)
+        action.append(tuple([index[z][tuple([m[k] for k in through])]
+                             for m in families[x]]))
     plus_presheaf = SetValuedFunctor(cat, CONTRAVARIANT, sizes, tuple(action))
 
-    unit_components = []
-    for x in cat.objects:
-        maximal = Sieve(x, frozenset(cat.into(x)))
-        arrows = _sorted_arrows(maximal)
-        unit_components.append(tuple(
-            locate(x, maximal, tuple(p.action[f][s] for f in arrows))
-            for s in p.carrier(x)))
-    unit = NatTransData(p, plus_presheaf, tuple(unit_components))
+    unit_components = tuple(
+        tuple([index[x][tuple([p.action[f][s] for f in least[x]])] for s in p.carrier(x)])
+        for x in cat.objects)
+    unit = NatTransData(p, plus_presheaf, unit_components)
+    reps = tuple(tuple([(topology.least[x], least[x], m) for m in families[x]])
+                 for x in cat.objects)
     return PlusData(p, topology, plus_presheaf, unit, reps)
 
 
@@ -177,15 +158,11 @@ def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
 
 
 def is_sheaf(p: SetValuedFunctor, topology: SieveTopology) -> bool:
-    """For every covering sieve the canonical comparison map is a bijection."""
-    cat = p.cat
-    for x in cat.objects:
-        for sieve in topology.covering_sieves(x):
-            arrows, fams = matching_families(p, sieve)
-            images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(x)}
-            if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
-                return False
-    return True
+    """P is a sheaf iff its unit P => P⁺ is a bijection at every object
+    (Mac Lane-Moerdijk III.5)."""
+    unit = plus(p, topology).unit
+    return all(len(set(component)) == len(component) == unit.target.sizes[x]
+               for x, component in enumerate(unit.components))
 
 
 def sheaf_for_family(p: SetValuedFunctor, cat: FinCategory, fam) -> bool:
@@ -206,16 +183,19 @@ class SheafObject:
 
     @staticmethod
     def build(p: SetValuedFunctor, topology: SieveTopology) -> "SheafObject":
+        """Check the sheaf condition on each J₀(x), which gives it on every
+        covering sieve, and tabulate one entry per covering sieve."""
         cat = p.cat
         entries = []
         for x in cat.objects:
+            arrows, fams = _families_on(p, topology.least[x])
+            images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(x)}
+            if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
+                raise ValueError(f"sheaf condition fails at object {x}")
             for sieve in topology.covering_sieves(x):
-                arrows, fams = matching_families(p, sieve)
-                table = tuple(tuple(p.action[f][s] for f in arrows)
-                              for s in p.carrier(x))
-                if len(set(table)) != p.sizes[x] or len(fams) != p.sizes[x]:
-                    raise ValueError(f"sheaf condition fails at object {x}")
-                entries.append((x, sieve, table))
+                arrows = _sorted_arrows(sieve)
+                entries.append((x, sieve, tuple(tuple(p.action[f][s] for f in arrows)
+                                                for s in p.carrier(x))))
         return SheafObject(p, tuple(entries))
 
 
@@ -279,7 +259,8 @@ def _unit_tables(site: SiteSpec, x: int):
 
 
 def extremal_epi_in_sh(topology: SieveTopology, legs) -> bool:
-    """Every section of the common target lifts through the legs cover-locally."""
+    """Every section of the common target lifts through the legs on J₀(x):
+    a section that lifts on some covering sieve lifts on J₀(x) inside it."""
     legs = list(legs)
     if not legs:
         raise ValueError("need the codomain; pass at least one leg or use the family form")
@@ -292,26 +273,20 @@ def extremal_epi_in_sh(topology: SieveTopology, legs) -> bool:
         for z in cat.objects:
             hit[z].update(leg.components[z])
     for x in cat.objects:
+        least = topology.least[x].arrows
         for s in target.carrier(x):
-            if not any(all(target.action[f][s] in hit[cat.dom[f]]
-                           for f in sieve.arrows)
-                       for sieve in topology.covering_sieves(x)):
+            if not all(target.action[f][s] in hit[cat.dom[f]] for f in least):
                 return False
     return True
 
 
 def extremal_epi_family_in_sh(topology, legs, target: SetValuedFunctor) -> bool:
-    """Family form of extremal_epi_in_sh: tolerates the empty family, for
-    which only an empty covering sieve can witness the lifting condition."""
+    """Family form of extremal_epi_in_sh: tolerates the empty family, which
+    lifts every section of F(x) exactly when J₀(x) is empty."""
     if legs:
         return extremal_epi_in_sh(topology, legs)
-    cat = target.cat
-    for x in cat.objects:
-        for _ in target.carrier(x):
-            if not any(len(sieve.arrows) == 0
-                       for sieve in topology.covering_sieves(x)):
-                return False
-    return True
+    return all(target.sizes[x] == 0 or not topology.least[x].arrows
+               for x in target.cat.objects)
 
 
 @dataclass(frozen=True)

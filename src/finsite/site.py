@@ -60,6 +60,11 @@ class SiteSpec:
         covers."""
         return {}
 
+    @cached_property
+    def _topology(self) -> "SieveTopology":
+        """The generated sieve topology, computed once per site."""
+        return generate_sieve_topology(self)
+
 
 def validate_site(site: SiteSpec) -> list[str]:
     report = validate_category(site.cat)
@@ -265,56 +270,72 @@ def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
 
 @dataclass(frozen=True)
 class SieveTopology:
+    """A Grothendieck topology on a finite category, by its least covering
+    sieve J₀(x) on each object.
+
+    The covering sieves on x are finitely many and closed under intersection,
+    so their intersection J₀(x) covers, and a sieve covers x iff it contains
+    J₀(x) (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III.2).
+    """
+
     cat: FinCategory
-    covering: tuple[frozenset[Sieve], ...]  # per object
+    least: tuple[Sieve, ...]  # J₀(x) per object
 
     def covers(self, sieve: Sieve) -> bool:
-        return sieve in self.covering[sieve.target]
+        return self.least[sieve.target].arrows <= sieve.arrows
 
     def covering_sieves(self, y: int) -> list[Sieve]:
-        return sorted(self.covering[y], key=Sieve.sort_key)
+        """Every covering sieve on y in ``Sieve.sort_key`` order, J₀(y) first."""
+        least = self.least[y].arrows
+        return [sieve for sieve in all_sieves(self.cat, y) if least <= sieve.arrows]
 
 
 def generate_sieve_topology(site: SiteSpec) -> SieveTopology:
     """Least Grothendieck topology whose covers include the E-generated sieves.
 
-    Fixpoint over the materialized finite sieve lattice: seed with maximal and
-    generated sieves, then close under pullback and local character until
-    stable.
+    A decreasing fixpoint on one int mask of morphism ids per object: start
+    from the maximal sieves cut down to every E-generated sieve, then repeat
+    until stable
+
+    - J₀(z) &= f*J₀(x) for every f: z -> x (stability), and
+    - J₀(x) = {h∘k : h ∈ J₀(x), k ∈ J₀(dom h)} (local character).
+
+    Each step keeps every mask a covering sieve: an intersection of covering
+    sieves covers, and the composite sieve pulls back along each h ∈ J₀(x)
+    to a sieve containing J₀(dom h).  At the fixpoint the sieves containing
+    J₀ satisfy the axioms, so the masks are the least covering sieves.
     """
     cat = site.cat
-    universe = {y: all_sieves(cat, y) for y in cat.objects}
-    j = {y: set() for y in cat.objects}
-    for y in cat.objects:
-        j[y].add(maximal_sieve(cat, y))
+    least = [_mask(cat.into(x)) for x in cat.objects]
     for fam in site.covers:
-        j[fam.codomain].add(generated_sieve(cat, fam))
+        least[fam.codomain] &= _mask(generated_sieve(cat, fam).arrows)
     changed = True
     while changed:
         changed = False
-        for y in cat.objects:
-            for sieve in list(j[y]):
-                for h in cat.into(y):
-                    pulled = pull_sieve(cat, sieve, h)
-                    if pulled not in j[cat.dom[h]]:
-                        j[cat.dom[h]].add(pulled)
-                        changed = True
-        for y in cat.objects:
-            for sieve in universe[y]:
-                if sieve in j[y]:
-                    continue
-                for cover in j[y]:
-                    if all(pull_sieve(cat, sieve, h) in j[cat.dom[h]]
-                           for h in cover.arrows):
-                        j[y].add(sieve)
-                        changed = True
-                        break
-    return SieveTopology(cat, tuple(frozenset(j[y]) for y in cat.objects))
+        for f in cat.morphisms:
+            z, x = cat.dom[f], cat.cod[f]
+            after = cat.comp[f]
+            pulled = _mask(g for g in cat.into(z) if least[x] >> after[g] & 1)
+            if least[z] & ~pulled:
+                least[z] &= pulled
+                changed = True
+        for x in cat.objects:
+            composed = _mask(cat.comp[h][k] for h in _bits(least[x])
+                             for k in _bits(least[cat.dom[h]]))
+            if composed != least[x]:
+                least[x] = composed
+                changed = True
+    for x in cat.objects:
+        if any(least[x] >> cat.comp[h][g] & 1 == 0
+               for h in _bits(least[x]) for g in cat.into(cat.dom[h])):
+            raise AssertionError(f"the least covering sieve on {x} is not a sieve")
+    return SieveTopology(cat, tuple(Sieve(x, frozenset(_bits(least[x])))
+                                    for x in cat.objects))
 
 
-@lru_cache(maxsize=None)
 def site_topology(site: SiteSpec) -> SieveTopology:
-    return generate_sieve_topology(site)
+    """The site's generated sieve topology, kept on the site."""
+    return site._topology
 
 
 def family_covers(site: SiteSpec, topology: SieveTopology, fam: Family) -> bool:

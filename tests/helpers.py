@@ -8,14 +8,19 @@ raw definitions, so agreement tests compare genuinely different deciders.
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from finsite import limits
-from finsite.fincat import (COVARIANT, FinCategory, SetValuedFunctor,
-                            make_category, poset_category, validate_set_functor)
+from finsite.fincat import (CONTRAVARIANT, COVARIANT, FinCategory, NatTransData,
+                            SetValuedFunctor, make_category, poset_category,
+                            validate_set_functor)
 from finsite.lattice import FinLattice, downset_lattice
-from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, is_sieve,
+from finsite.presheaf import PlusData, _sorted_arrows, matching_families
+from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
+                          generated_sieve, is_sieve, maximal_sieve, pull_sieve,
                           pullback_closure)
 
 
@@ -80,6 +85,12 @@ def boolean_leq(k):
     return [[a & b == a for b in range(2 ** k)] for a in range(2 ** k)]
 
 
+def grid_leq(a, b):
+    """The product of the chains 0..a-1 and 0..b-1, as a leq matrix."""
+    cells = [(i, j) for i in range(a) for j in range(b)]
+    return [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells]
+
+
 def poset_site(leq) -> SiteSpec:
     """The poset with every element covered by its immediate predecessors
     when it has at least two, and the identity cover on a top if any."""
@@ -140,6 +151,177 @@ def slow_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
             if is_sieve(cat, y, subset):
                 out.append(Sieve(y, frozenset(subset)))
     return tuple(sorted(out, key=Sieve.sort_key))
+
+
+def random_covers_site(cat: FinCategory, seed: int) -> SiteSpec:
+    """The category with up to three random families, each leg kept with
+    probability 0.4, so some families are empty."""
+    rng = random.Random(seed)
+    covers = []
+    for _ in range(rng.randrange(4)):
+        y = rng.randrange(cat.n_objects)
+        covers.append(Family.make(y, [f for f in cat.into(y) if rng.random() < 0.4]))
+    return SiteSpec.make(cat, covers)
+
+
+def oracle_sites(fixture_sites) -> dict[str, SiteSpec]:
+    """The fixtures, ``glue_site``, bool_3 and grid_3x4 with their poset
+    covers and with random ones, and the fork, left-zero-monoid, iso-pair,
+    cospan-only and discrete categories with random covers."""
+    sites = dict(fixture_sites, glue=glue_site(), bool_3=poset_site(boolean_leq(3)),
+                 grid_3x4=poset_site(grid_leq(3, 4)))
+    for name, cat in (("bool_3", poset_category(boolean_leq(3))),
+                      ("grid_3x4", poset_category(grid_leq(3, 4)))):
+        for seed in range(2):
+            sites[f"{name}:random{seed}"] = random_covers_site(cat, seed)
+    for name, cat in (("fork", fork_category()), ("left_zero_monoid", left_zero_monoid()),
+                      ("iso_pair", iso_pair_category()),
+                      ("cospan_only", cospan_only_category()),
+                      ("discrete", discrete2_category())):
+        for seed in range(6):
+            sites[f"{name}:random{seed}"] = random_covers_site(cat, seed)
+    return sites
+
+
+@dataclass(frozen=True)
+class SlowTopology:
+    """A sieve topology as the full set of covering sieves per object."""
+
+    cat: FinCategory
+    covering: tuple[frozenset[Sieve], ...]  # per object
+
+    def covers(self, sieve: Sieve) -> bool:
+        return sieve in self.covering[sieve.target]
+
+    def covering_sieves(self, y: int) -> list[Sieve]:
+        return sorted(self.covering[y], key=Sieve.sort_key)
+
+
+def slow_sieve_topology(site: SiteSpec) -> SlowTopology:
+    """Least Grothendieck topology whose covers include the E-generated sieves.
+
+    Fixpoint over the materialized finite sieve lattice: seed with maximal and
+    generated sieves, then close under pullback and local character until
+    stable.
+    """
+    cat = site.cat
+    universe = {y: all_sieves(cat, y) for y in cat.objects}
+    j = {y: set() for y in cat.objects}
+    for y in cat.objects:
+        j[y].add(maximal_sieve(cat, y))
+    for fam in site.covers:
+        j[fam.codomain].add(generated_sieve(cat, fam))
+    changed = True
+    while changed:
+        changed = False
+        for y in cat.objects:
+            for sieve in list(j[y]):
+                for h in cat.into(y):
+                    pulled = pull_sieve(cat, sieve, h)
+                    if pulled not in j[cat.dom[h]]:
+                        j[cat.dom[h]].add(pulled)
+                        changed = True
+        for y in cat.objects:
+            for sieve in universe[y]:
+                if sieve in j[y]:
+                    continue
+                for cover in j[y]:
+                    if all(pull_sieve(cat, sieve, h) in j[cat.dom[h]]
+                           for h in cover.arrows):
+                        j[y].add(sieve)
+                        changed = True
+                        break
+    return SlowTopology(cat, tuple(frozenset(j[y]) for y in cat.objects))
+
+
+def _agrees_on_refinement(cat, topology, x, fam1, fam2):
+    """(S1,m1) ~ (S2,m2): agreement on some covering sieve inside S1 ∩ S2."""
+    (s1, pos1, m1), (s2, pos2, m2) = fam1, fam2
+    meet = s1.arrows & s2.arrows
+    for s3 in topology.covering_sieves(x):
+        if not s3.arrows <= meet:
+            continue
+        if all(m1[pos1[f]] == m2[pos2[f]] for f in s3.arrows):
+            return True
+    return False
+
+
+def slow_plus(p: SetValuedFunctor, topology: SlowTopology) -> PlusData:
+    """The +-construction: sections are classes of matching families over
+    covering sieves, identified on common refining covers."""
+    cat = p.cat
+    fams_by_obj = []
+    classes_by_obj = []
+    for x in cat.objects:
+        fams = []
+        for sieve in topology.covering_sieves(x):
+            arrows, assignments = matching_families(p, sieve)
+            pos = {f: k for k, f in enumerate(arrows)}
+            for assignment in assignments:
+                fams.append((sieve, arrows, pos, assignment))
+        classes = []  # list of lists of family indices
+        for i, (s1, a1, p1, m1) in enumerate(fams):
+            placed = False
+            for cls in classes:
+                s2, a2, p2, m2 = fams[cls[0]]
+                if _agrees_on_refinement(cat, topology, x, (s1, p1, m1), (s2, p2, m2)):
+                    cls.append(i)
+                    placed = True
+                    break
+            if not placed:
+                classes.append([i])
+        fams_by_obj.append(fams)
+        classes_by_obj.append(classes)
+
+    reps = tuple(
+        tuple((fams[cls[0]][0], fams[cls[0]][1], fams[cls[0]][3]) for cls in classes)
+        for fams, classes in zip(fams_by_obj, classes_by_obj))
+    sizes = tuple(len(classes) for classes in classes_by_obj)
+
+    def locate(x, sieve, assignment):
+        pos = {f: k for k, f in enumerate(_sorted_arrows(sieve))}
+        for k, (rs, ra, rm) in enumerate(reps[x]):
+            rpos = {f: i for i, f in enumerate(ra)}
+            if _agrees_on_refinement(cat, topology, x,
+                                     (sieve, pos, assignment), (rs, rpos, rm)):
+                return k
+        raise AssertionError("matching family escaped its own classes")
+
+    action = []
+    for f in cat.morphisms:
+        x, z = cat.cod[f], cat.dom[f]  # contravariant: restrict along f: z -> x
+        column = []
+        for rs, ra, rm in reps[x]:
+            pulled = Sieve(z, frozenset(
+                g for g in cat.into(z) if cat.comp[f][g] in rs.arrows))
+            pos = {a: k for k, a in enumerate(ra)}
+            assignment = tuple(rm[pos[cat.comp[f][g]]]
+                               for g in _sorted_arrows(pulled))
+            column.append(locate(z, pulled, assignment))
+        action.append(tuple(column))
+    plus_presheaf = SetValuedFunctor(cat, CONTRAVARIANT, sizes, tuple(action))
+
+    unit_components = []
+    for x in cat.objects:
+        maximal = Sieve(x, frozenset(cat.into(x)))
+        arrows = _sorted_arrows(maximal)
+        unit_components.append(tuple(
+            locate(x, maximal, tuple(p.action[f][s] for f in arrows))
+            for s in p.carrier(x)))
+    unit = NatTransData(p, plus_presheaf, tuple(unit_components))
+    return PlusData(p, topology, plus_presheaf, unit, reps)
+
+
+def slow_is_sheaf(p: SetValuedFunctor, topology: SlowTopology) -> bool:
+    """For every covering sieve the canonical comparison map is a bijection."""
+    cat = p.cat
+    for x in cat.objects:
+        for sieve in topology.covering_sieves(x):
+            arrows, fams = matching_families(p, sieve)
+            images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(x)}
+            if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
+                return False
+    return True
 
 
 def glue_site() -> SiteSpec:

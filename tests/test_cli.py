@@ -6,8 +6,11 @@ import pytest
 
 from finsite import fixtures
 from finsite.cli import main
+from finsite.fincat import compose_nat, representable_presheaf
 from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
+
+from helpers import slow_plus, slow_sieve_topology
 
 
 def fixture_path(name):
@@ -117,6 +120,36 @@ def test_saturate_json_on_diamond_is_byte_identical(capsys):
     assert document["timings"]["rounds"] == document["result"]["rounds"] == 2
     assert document["timings"]["families"] == len(document["result"]["families"]) == 8
     assert document["timings"]["pastings"] > 0
+
+
+def test_sheafify_json_on_every_fixture_object_is_byte_identical(capsys):
+    """Two runs print the same bytes, and the document is the one the
+    covering-sieve oracles give: a(P) = P⁺⁺ with the composite unit and one
+    certified entry per covering sieve."""
+    for name in fixtures.SITE_NAMES:
+        site = fixtures.load_site(name)
+        cat = site.cat
+        topology = slow_sieve_topology(site)
+        for x in cat.objects:
+            argv = ("sheafify", fixture_path(f"{name}.site"),
+                    "--object", cat.obj_name(x), "--json")
+            code1, out1 = run_cli(capsys, *argv)
+            code2, out2 = run_cli(capsys, *argv)
+            assert code1 == code2 == 0
+            assert out1 == out2, (name, x)
+            first = slow_plus(representable_presheaf(cat, x), topology)
+            second = slow_plus(first.presheaf, topology)
+            sheaf = second.presheaf
+            unit = compose_nat(second.unit, first.unit)
+            certified = sum(len(topology.covering_sieves(y)) for y in cat.objects)
+            assert json.loads(out1)["result"] == {
+                "object": cat.obj_name(x),
+                "sheaf": {"carriers": {cat.obj_name(y): sheaf.sizes[y] for y in cat.objects},
+                          "actions": {cat.mor_name(f): list(sheaf.action[f])
+                                      for f in cat.morphisms}},
+                "unit": {cat.obj_name(y): list(unit.components[y]) for y in cat.objects},
+                "certified_sieves": certified,
+            }, (name, x)
 
 
 def test_separate_json_on_diamond_is_byte_identical(capsys):

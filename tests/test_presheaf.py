@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import fixtures
 from finsite.fincat import (CONTRAVARIANT, SetValuedFunctor,
                             all_nat_transformations, compose_nat, identity_nat,
-                            representable_presheaf, validate_set_functor)
+                            poset_category, representable_presheaf,
+                            validate_set_functor)
 from finsite.presheaf import (FactorizationError, SheafObject,
                               cover_mono_by_representables, enumerate_presheaves,
                               extremal_epi_family_in_sh, extremal_epi_in_sh,
@@ -16,7 +19,9 @@ from finsite.presheaf import (FactorizationError, SheafObject,
                               sheafify, ay)
 from finsite.site import Sieve, site_topology, tree_saturation
 
-from helpers import glue_site, nat_is_pointwise_bijective, nat_is_pointwise_injective
+from helpers import (glue_site, nat_is_pointwise_bijective, nat_is_pointwise_injective,
+                     oracle_sites, posets, random_covers_site, slow_is_sheaf,
+                     slow_plus, slow_sieve_topology)
 
 DIAMOND_SITE = fixtures.load_site("diamond")
 DIAMOND = DIAMOND_SITE.cat
@@ -254,3 +259,72 @@ def test_limits_of_sheaves_are_pointwise():
         product = SetValuedFunctor(DIAMOND, CONTRAVARIANT, sizes, tuple(action))
         assert validate_set_functor(product) == []
         assert is_sheaf(product, TOPOLOGY)
+
+
+def _assert_plus_matches_oracle(site, bound, label):
+    """Both plus passes and the sheaf verdict of every presheaf at the bound
+    agree with the construction over all covering sieves."""
+    fast, slow = site_topology(site), slow_sieve_topology(site)
+    for p in enumerate_presheaves(site.cat, bound):
+        assert is_sheaf(p, fast) == slow_is_sheaf(p, slow), (label, p)
+        for _ in range(2):
+            got, expected = plus(p, fast), slow_plus(p, slow)
+            assert got.presheaf == expected.presheaf, (label, p)
+            assert got.unit == expected.unit, (label, p)
+            assert got.representatives == expected.representatives, (label, p)
+            p = got.presheaf
+
+
+def test_plus_and_is_sheaf_match_the_covering_sieve_oracle():
+    for name, site in oracle_sites(fixtures.all_sites()).items():
+        bound = 1 if site.cat.n_objects > 6 else 2  # glue_site, bool_3, grid_3x4
+        _assert_plus_matches_oracle(site, bound, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_objects=6), st.integers(min_value=0, max_value=2 ** 32))
+def test_plus_and_is_sheaf_match_the_covering_sieve_oracle_on_random_posets(leq, seed):
+    site = random_covers_site(poset_category(leq), seed)
+    bound = 2 if len(leq) <= 4 else 1
+    _assert_plus_matches_oracle(site, bound, seed)
+
+
+def test_class_of_restricts_to_the_least_covering_sieve():
+    p = glued_presheaf()
+    data = plus(p, TOPOLOGY)
+    for x in DIAMOND.objects:
+        for sieve in TOPOLOGY.covering_sieves(x):
+            arrows, fams = matching_families(p, sieve)
+            for assignment in fams:
+                k = data.class_of(x, sieve, assignment)
+                rs, ra, rm = data.representatives[x][k]
+                assert rs == TOPOLOGY.least[x]
+                assert all(assignment[arrows.index(f)] == v for f, v in zip(ra, rm))
+    with pytest.raises(ValueError):
+        data.class_of(3, Sieve(3, frozenset([7])), (0,))  # not a covering sieve
+
+
+def _lifts_on_some_covering_sieve(topology, legs, target):
+    """Every section lifts through the legs on some covering sieve."""
+    cat = target.cat
+    hit = [set() for _ in cat.objects]
+    for leg in legs:
+        for z in cat.objects:
+            hit[z].update(leg.components[z])
+    return all(any(all(target.action[f][s] in hit[cat.dom[f]] for f in sieve.arrows)
+                   for sieve in topology.covering_sieves(x))
+               for x in cat.objects for s in target.carrier(x))
+
+
+def test_extremal_epi_matches_the_covering_sieve_oracle():
+    for name, site in oracle_sites(fixtures.all_sites()).items():
+        topology, slow = site_topology(site), slow_sieve_topology(site)
+        for y in site.cat.objects:
+            target = ay(site, y).sheaf.presheaf
+            families = [()] + [(f,) for f in site.cat.into(y)]
+            families += [fam.legs for fam in site.covers if fam.codomain == y]
+            for fam in families:
+                legs = [sheafified_postcompose(site, f) for f in fam]
+                expected = _lifts_on_some_covering_sieve(slow, legs, target)
+                assert extremal_epi_family_in_sh(topology, legs, target) == expected, \
+                    (name, y, fam)

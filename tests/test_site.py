@@ -1,21 +1,24 @@
 """Closures E^pb and the pasting saturation, sieve topologies, agreement."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import fixtures
 from finsite.fincat import FunctorData, identity_functor, poset_category
 from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
                           SiteSpec, all_sieves, family_covers, generate_sieve_topology,
-                          is_sieve, is_site_morphism,
+                          generated_sieve, is_sieve, is_site_morphism,
                           maximal_sieve, pull_sieve, pullback_closure,
                           site_topology, tree_saturation, validate_site)
 
 from helpers import (boolean_leq, cospan_only_category, discrete2_category,
-                     fork_category, iso_pair_category, left_zero_monoid,
-                     poset_site, posets, slow_sieves, slow_tree_saturation)
+                     fork_category, grid_leq, iso_pair_category, left_zero_monoid,
+                     oracle_sites, poset_site, posets, random_covers_site,
+                     slow_sieve_topology, slow_sieves, slow_tree_saturation)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -78,11 +81,6 @@ def test_tree_saturation_against_full_pasting_oracle():
         assert got == _slow_saturation(site), name
 
 
-def _grid_leq(a, b):
-    cells = [(i, j) for i in range(a) for j in range(b)]
-    return [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells]
-
-
 def _iso_pair_site():
     cat = iso_pair_category()
     return SiteSpec.make(cat, [Family.make(2, [cat.identity[2]]),
@@ -90,7 +88,7 @@ def _iso_pair_site():
 
 
 def test_tree_saturation_matches_naive_rounds():
-    sites = dict(ALL_SITES, grid_3x4=poset_site(_grid_leq(3, 4)),
+    sites = dict(ALL_SITES, grid_3x4=poset_site(grid_leq(3, 4)),
                  bool_3=poset_site(boolean_leq(3)), iso_pair=_iso_pair_site())
     for name, site in sites.items():
         # equal families in the same order, and the same number of rounds
@@ -187,6 +185,57 @@ def test_sieve_topology_empty_cover_makes_every_sieve_cover():
     site = ALL_SITES["diamond_empty"]
     topology = site_topology(site)
     assert len(topology.covering_sieves(0)) == len(all_sieves(site.cat, 0))
+
+
+def _assert_topology_matches_oracle(site, label):
+    fast, slow = site_topology(site), slow_sieve_topology(site)
+    for y in site.cat.objects:
+        listed = slow.covering_sieves(y)
+        assert fast.covering_sieves(y) == listed, (label, y)
+        assert fast.least[y] == listed[0], (label, y)
+        for sieve in all_sieves(site.cat, y):
+            assert fast.covers(sieve) == slow.covers(sieve), (label, y, sieve)
+
+
+def test_sieve_topology_matches_the_sieve_lattice_fixpoint():
+    for name, site in oracle_sites(ALL_SITES).items():
+        _assert_topology_matches_oracle(site, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_objects=6), st.integers(min_value=0, max_value=2 ** 32))
+def test_sieve_topology_matches_the_sieve_lattice_fixpoint_on_random_posets(leq, seed):
+    _assert_topology_matches_oracle(random_covers_site(poset_category(leq), seed), seed)
+
+
+def test_bool_5_gets_a_topology():
+    site = poset_site(boolean_leq(5))
+    cat = site.cat
+    top = cat.n_objects - 1
+    assert len(cat.into(top)) > MAX_ARROWS_FOR_SIEVES
+    topology = site_topology(site)
+    cover = next(fam for fam in site.covers if fam.codomain == top and len(fam.legs) > 1)
+    assert topology.covers(maximal_sieve(cat, top))
+    assert topology.covers(generated_sieve(cat, cover))
+    assert not topology.covers(generated_sieve(cat, Family.make(top, cover.legs[:1])))
+    with pytest.raises(ValueError, match="too many arrows"):
+        topology.covering_sieves(top)
+
+
+def test_topology_belongs_to_the_site_not_the_category(monkeypatch):
+    cat = DIAMOND_SITE.cat
+    other = SiteSpec.make(cat, [Family.make(3, [cat.identity[3]])])
+    assert other.cat is DIAMOND_SITE.cat
+    assert site_topology(DIAMOND_SITE) != site_topology(other)
+    for site in (DIAMOND_SITE, other, DIAMOND_SITE):
+        fresh = SiteSpec(dataclasses.replace(site.cat), site.covers)
+        assert site_topology(site) == generate_sieve_topology(fresh)
+    calls = []
+    original = SiteSpec.__hash__
+    monkeypatch.setattr(SiteSpec, "__hash__",
+                        lambda self: calls.append(1) or original(self))
+    assert site_topology(other) is site_topology(other)
+    assert calls == []  # a warm lookup hashes no site
 
 
 def test_grothendieck_axioms_exhaustively():
