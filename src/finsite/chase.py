@@ -6,8 +6,9 @@ Budgets are honest: BUDGET_EXCEEDED is a first-class outcome and no colimit
 is ever extrapolated from an unfinished branch.
 
 The per-site tables (task lists and their stage-stamped columns, dead and
-stable objects, verified branch colimits) live in ``SiteSpec._chase_table``,
-filled here on first use, so a chase step never hashes the site.
+stable objects, verified branch colimits, explored cotrees) live in
+``SiteSpec._chase_table``, filled here on first use, so a chase step never
+hashes the site.
 """
 
 from __future__ import annotations
@@ -65,11 +66,16 @@ class ChaseBranch:
 
     def composite_to(self, stage: int) -> int:
         """Connecting composite from the newest object back to stage."""
-        cat = self.site.cat
-        out = cat.identity[self.current]
-        for _, connect in reversed(self.chain[stage + 1:]):
-            out = cat.comp[connect][out]
-        return out
+        return _composite_to(self.site.cat, self.chain, stage)
+
+
+def _composite_to(cat, chain, stage: int) -> int:
+    """Composite of the connecting arrows of ``chain`` from its newest
+    object back to the object of ``stage``."""
+    out = cat.identity[chain[-1][0]]
+    for _, connect in reversed(chain[stage + 1:]):
+        out = cat.comp[connect][out]
+    return out
 
 
 def nonempty_covers(site: SiteSpec) -> list[Family]:
@@ -154,9 +160,7 @@ def solve_task(site: SiteSpec, branch_chain, task: Task, leg_index: int):
         raise ValueError("leg index out of range")
     leg = task.family.legs[leg_index]
     current = branch_chain[-1][0]
-    composite = cat.identity[current]
-    for _, connect in reversed(branch_chain[task.stage + 1:]):
-        composite = cat.comp[connect][composite]
+    composite = _composite_to(cat, branch_chain, task.stage)
     arrow = cat.comp[task.arrow][composite]  # current -> y
     if cat.factors_through(arrow, leg) is not None:
         return current, cat.identity[current]
@@ -176,15 +180,21 @@ def run_branch(site: SiteSpec, root: int, strategy=FIRST_LEG,
     the stabilization certificate until its choices are spent, so prescribed
     leg choices can still walk a stable object into a refinement.
     """
-    cat = site.cat
     explicit = None if strategy == FIRST_LEG else tuple(strategy)
+    return _continue_branch(site, root, [(root, site.cat.identity[root])], [], [],
+                            explicit, budget)
+
+
+def _continue_branch(site: SiteSpec, root: int, chain: list, columns: list,
+                     choices: list, explicit, budget: int) -> ChaseBranch:
+    """Run a branch on from the state after step n = len(choices): chain
+    holds n + 1 objects and columns n columns.  The lists are extended in
+    place."""
+    cat = site.cat
     dead = _dead_objects(site)
     stable = _stabilized_objects(site)
-    chain = [(root, cat.identity[root])]
-    columns: list[tuple[Task, ...]] = []
-    choices: list[tuple[int, int]] = []
     status = BUDGET_EXCEEDED
-    for n in range(budget):
+    for n in range(len(choices), budget):
         u = chain[-1][0]
         if u in dead:
             status = DEAD
@@ -262,12 +272,21 @@ def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
 
     A node is a branch prefix; it becomes a leaf once the branch run under
     that prefix terminates without consuming more choices.
-    """
-    leaves = []
-    pruned = [False]
 
-    def expand(prefix):
-        branch = run_branch(site, root, strategy=tuple(prefix), budget=budget)
+    A child shares its parent's first d steps, d the parent's depth, and the
+    parent took leg 0 at step d, so child 0 is the parent's branch itself
+    and child k >= 1 runs on from the parent's state before step d.  The
+    cotree is kept in the site's chase table, one per (root, budget, width).
+    """
+    table = site._chase_table
+    key = ("cotree", root, budget, width)
+    if key in table:
+        return table[key]
+    leaves = []
+    pruned = False
+
+    def expand(prefix, branch):
+        nonlocal pruned
         depth = len(prefix)
         if len(branch.choices) <= depth:
             leaves.append(branch)
@@ -277,14 +296,22 @@ def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
         n_legs = len(column[alpha % len(column)].family.legs)
         take = n_legs if width is None else min(width, n_legs)
         if take < n_legs:
-            pruned[0] = True
-        children = tuple((leg, expand(prefix + [leg])) for leg in range(take))
-        return CotreeNode(branch, children)
+            pruned = True
+        children = [(0, expand(prefix + (0,), branch))]
+        for leg in range(1, take):
+            child_prefix = prefix + (leg,)
+            child = _continue_branch(site, root, list(branch.chain[:depth + 1]),
+                                     list(branch.columns[:depth]),
+                                     list(branch.choices[:depth]),
+                                     child_prefix, budget)
+            children.append((leg, expand(child_prefix, child)))
+        return CotreeNode(branch, tuple(children))
 
-    root_node = expand([])
+    root_node = expand((), run_branch(site, root, strategy=(), budget=budget))
     terminated = all(leaf.status != BUDGET_EXCEEDED for leaf in leaves)
     live = any(leaf.status == STABILIZED for leaf in leaves)
-    return Cotree(root_node, tuple(leaves), terminated, live, pruned[0])
+    table[key] = Cotree(root_node, tuple(leaves), terminated, live, pruned)
+    return table[key]
 
 
 CONTAINED = "CONTAINED"

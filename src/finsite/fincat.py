@@ -8,6 +8,7 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -15,6 +16,8 @@ UNDEFINED = -1
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
+
+_SIEVE_TABLES = weakref.WeakKeyDictionary()  # category -> its sieve table
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,13 @@ class FinCategory:
     def _pullback_table(self) -> dict:
         """(f, g) -> canonical pullback square or None, filled by limits.pullback."""
         return {}
+
+    @cached_property
+    def _sieve_table(self) -> dict:
+        """y -> every sieve on y, filled by site.all_sieves.  Equal categories
+        (one site parsed twice) share one table while the first of them
+        lives, so they share their sieves too; the category is hashed once."""
+        return _SIEVE_TABLES.setdefault(self, {})
 
     @cached_property
     def _lex_probe_table(self) -> dict:

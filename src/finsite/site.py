@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import limits
 from .fincat import FinCategory, FunctorData, validate_category, validate_functor
@@ -55,9 +55,9 @@ class SiteSpec:
     @cached_property
     def _chase_table(self) -> dict:
         """Per-site chase data (task lists and stage-stamped columns, dead
-        and stable objects, branch colimits), filled by the chase module.
-        It lives on the site, not the category, because it depends on the
-        covers."""
+        and stable objects, branch colimits, cotrees), filled by the chase
+        module.  It lives on the site, not the category, because it depends
+        on the covers."""
         return {}
 
     @cached_property
@@ -233,15 +233,18 @@ def pull_sieve(cat: FinCategory, sieve: Sieve, h: int) -> Sieve:
     return Sieve(z, frozenset(g for g in cat.into(z) if cat.comp[h][g] in sieve.arrows))
 
 
-@lru_cache(maxsize=None)
 def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
     """Every sieve on y, as the down-sets of into(y) under factorization.
 
     Take the first undecided arrow f: either keep it with its principal sieve
     {f∘g}, or drop it with every arrow that f factors through.  Each branch
     stays consistent with the earlier choices, and the leaves are exactly the
-    down-sets, each reached once.
+    down-sets, each reached once.  The result is kept in the category's
+    sieve table.
     """
+    table = cat._sieve_table
+    if y in table:
+        return table[y]
     arrows = cat.into(y)
     if len(arrows) > MAX_ARROWS_FOR_SIEVES:
         raise ValueError(f"too many arrows into {y} to enumerate sieves")
@@ -265,7 +268,8 @@ def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
         i = (undecided & -undecided).bit_length() - 1
         stack.append((kept | below[i], dropped))
         stack.append((kept, dropped | above[i]))
-    return tuple(sorted(out, key=Sieve.sort_key))
+    table[y] = tuple(sorted(out, key=Sieve.sort_key))
+    return table[y]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from hypothesis import strategies as st
 
 from finsite import limits
+from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
+                           WITNESS, Cotree, CotreeNode, SeparationResult,
+                           branch_colimit, run_branch, unpairing)
 from finsite.fincat import (CONTRAVARIANT, COVARIANT, FinCategory, NatTransData,
                             SetValuedFunctor, make_category, poset_category,
                             validate_set_functor)
@@ -447,3 +450,60 @@ def slow_distributive_catalogue(max_size: int = 6) -> list[FinLattice]:
             if key not in seen:
                 seen[key] = lat
     return [seen[key] for key in sorted(seen)]
+
+
+def slow_explore_cotree(site: SiteSpec, root: int, budget: int = 64,
+                        width: int | None = None) -> Cotree:
+    """Expand the leg options of every scheduled task, depth-limited by the
+    budget and breadth-limited by the width (all legs when width is None).
+
+    A node is a branch prefix; it becomes a leaf once the branch run under
+    that prefix terminates without consuming more choices.  Every node
+    replays its branch from the root, and nothing is memoised.
+    """
+    leaves = []
+    pruned = [False]
+
+    def expand(prefix):
+        branch = run_branch(site, root, strategy=tuple(prefix), budget=budget)
+        depth = len(prefix)
+        if len(branch.choices) <= depth:
+            leaves.append(branch)
+            return CotreeNode(branch, ())
+        alpha, beta = unpairing(depth)
+        column = branch.columns[beta]
+        n_legs = len(column[alpha % len(column)].family.legs)
+        take = n_legs if width is None else min(width, n_legs)
+        if take < n_legs:
+            pruned[0] = True
+        children = tuple((leg, expand(prefix + [leg])) for leg in range(take))
+        return CotreeNode(branch, children)
+
+    root_node = expand([])
+    terminated = all(leaf.status != BUDGET_EXCEEDED for leaf in leaves)
+    live = any(leaf.status == STABILIZED for leaf in leaves)
+    return Cotree(root_node, tuple(leaves), terminated, live, pruned[0])
+
+
+def slow_separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
+                             budget: int = 64,
+                             width: int | None = None) -> SeparationResult:
+    """``chase.separate_subobjects`` on the replaying ``slow_explore_cotree``."""
+    cat = site.cat
+    if cat.cod[u] != x or cat.cod[v] != x:
+        raise ValueError("u and v must be subobjects of x")
+    if cat.factors_through(u, v) is not None:
+        return SeparationResult(CONTAINED)
+    tree = slow_explore_cotree(site, root=cat.dom[u], budget=budget, width=width)
+    explored = len(tree.leaves)
+    for branch in tree.leaves:
+        if branch.status != STABILIZED:
+            continue
+        model = branch_colimit(branch)
+        w = branch.current
+        connect = branch.composite_to(0)   # w -> dom(u)
+        point = cat.comp[u][connect]       # [1_u] pushed into M(x)
+        if not any(cat.comp[v][d] == point for d in cat.hom(w, cat.dom[v])):
+            assert model.is_lex and model.preserves_covers
+            return SeparationResult(WITNESS, model, branch, explored)
+    return SeparationResult(INCONCLUSIVE, leaves=explored)

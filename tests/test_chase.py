@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import fixtures
+from finsite import chase, fixtures
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, DEAD, INCONCLUSIVE,
                            STABILIZED, WITNESS, ChaseBranch, Task,
                            _dead_objects, _stabilized_objects, _task_column,
@@ -15,14 +15,16 @@ from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, DEAD, INCONCLUSIVE,
                            run_branch, separate_subobjects, solve_task,
                            unpairing)
 from finsite.fincat import (FinCategory, constant_singleton,
-                            covariant_representable)
+                            covariant_representable, poset_category)
 from finsite.limits import strict_initial, subobject_lattice
 from finsite.models import (Model, ModelBound, enumerate_models, is_lex,
                             preserves_covers)
 from finsite.presheaf import extremal_epi_in_sh, sheafified_postcompose
-from finsite.site import Family, SiteSpec, site_topology
+from finsite.site import Family, MissingPullbackError, SiteSpec, site_topology
 
-from helpers import boolean_leq, poset_site
+from helpers import (boolean_leq, iso_pair_category, left_zero_monoid, poset_site,
+                     posets, random_covers_site, slow_explore_cotree,
+                     slow_separate_subobjects)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -279,8 +281,10 @@ def test_chase_tables_belong_to_the_site_not_the_category():
     assert _task_column(DIAMOND_SITE, a, 3) != _task_column(other, a, 3)
     assert branch_colimit(_stopped_at(DIAMOND_SITE, top, STABILIZED)) \
         != branch_colimit(_stopped_at(other, top, STABILIZED))
+    assert explore_cotree(DIAMOND_SITE, top) != explore_cotree(other, top)
     for site in (DIAMOND_SITE, other, DIAMOND_SITE):
         fresh = _fresh(site)
+        assert explore_cotree(site, top) == explore_cotree(fresh, top)
         assert _dead_objects(site) == _dead_objects(fresh)
         assert _stabilized_objects(site) == _stabilized_objects(fresh)
         for x in DIAMOND.objects:
@@ -336,3 +340,139 @@ def test_warm_cotree_exploration_hashes_no_site(monkeypatch):
     for root in site.cat.objects:
         explore_cotree(site, root)
     assert calls == []
+
+
+def _assert_same_node(fast, slow, label):
+    for field_name in ("chain", "choices", "columns", "status"):
+        assert getattr(fast.branch, field_name) == getattr(slow.branch, field_name), \
+            (label, field_name)
+    assert [leg for leg, _ in fast.children] == [leg for leg, _ in slow.children], label
+    for (_, fast_child), (_, slow_child) in zip(fast.children, slow.children):
+        _assert_same_node(fast_child, slow_child, label)
+
+
+def _assert_cotree_matches_oracle(site, root, budget, width, label):
+    """Equal cotrees node by node, or the same error on both sides: a
+    missing pullback, or a task list left empty by a random cover list
+    without the identity cover on the terminal object."""
+    label = (label, root, budget, width)
+    try:
+        slow = slow_explore_cotree(site, root, budget, width)
+    except (MissingPullbackError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            explore_cotree(site, root, budget, width)
+        assert str(raised.value) == str(exc), label
+        return
+    fast = explore_cotree(site, root, budget, width)
+    _assert_same_node(fast.root, slow.root, label)
+    assert fast.leaves == slow.leaves, label
+    assert (fast.all_terminated, fast.has_live_branch, fast.pruned) \
+        == (slow.all_terminated, slow.has_live_branch, slow.pruned), label
+    assert fast == slow, label
+
+
+ORACLE_SITES = dict(ALL_SITES, bool_3=poset_site(boolean_leq(3)))
+
+
+@pytest.mark.parametrize("budget", [8, 64])
+@pytest.mark.parametrize("width", [None, 1])
+def test_cotree_matches_the_replaying_oracle(budget, width):
+    for name, site in ORACLE_SITES.items():
+        for root in site.cat.objects:
+            _assert_cotree_matches_oracle(site, root, budget, width, name)
+
+
+@pytest.mark.parametrize("width", [None, 1])
+def test_cotree_matches_the_replaying_oracle_on_bool_4(width):
+    site = poset_site(boolean_leq(4))
+    for root in site.cat.objects:
+        _assert_cotree_matches_oracle(site, root, 8, width, "bool_4")
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(max_objects=6), st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([8, 64]), st.sampled_from([None, 1]))
+def test_cotree_matches_the_replaying_oracle_on_random_posets(leq, seed, budget, width):
+    site = random_covers_site(poset_category(leq), seed)
+    cat = site.cat
+    maximal = [y for y in cat.objects if all(cat.cod[f] == y for f in cat.out_of(y))]
+    # with the identity family on every maximal object no task list is empty
+    topped = SiteSpec.make(cat, site.covers + tuple(
+        Family.make(y, [cat.identity[y]]) for y in maximal))
+    for root in cat.objects:
+        _assert_cotree_matches_oracle(site, root, budget, width, seed)
+        _assert_cotree_matches_oracle(topped, root, budget, width, (seed, "topped"))
+
+
+@pytest.mark.parametrize("make_cat", [iso_pair_category, left_zero_monoid])
+def test_cotree_matches_the_replaying_oracle_on_non_posets(make_cat):
+    cat = make_cat()
+    for seed in range(24):
+        site = random_covers_site(cat, seed)
+        for budget in (8, 64):
+            for width in (None, 1):
+                for root in cat.objects:
+                    _assert_cotree_matches_oracle(site, root, budget, width,
+                                                  (make_cat.__name__, seed))
+
+
+@pytest.mark.parametrize("width", [None, 1])
+def test_separation_matches_the_replaying_oracle(width):
+    for name, site in ORACLE_SITES.items():
+        cat = site.cat
+        for x in cat.objects:
+            subobjects = subobject_lattice(cat, x).representatives
+            for u in subobjects:
+                for v in subobjects:
+                    fast = separate_subobjects(site, x, u, v, width=width)
+                    slow = slow_separate_subobjects(site, x, u, v, width=width)
+                    label = (name, x, u, v)
+                    assert fast.verdict == slow.verdict, label
+                    assert fast.witness == slow.witness, label
+                    assert fast.witness_branch == slow.witness_branch, label
+                    assert fast.leaves == slow.leaves, label
+
+
+def _count_steps_and_cotrees(monkeypatch):
+    steps, trees = [], []
+    solve, explore = chase.solve_task, chase.explore_cotree
+
+    def counting_solve(*args):
+        steps.append(1)
+        return solve(*args)
+
+    def recording_explore(*args, **kwargs):
+        trees.append(explore(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(chase, "solve_task", counting_solve)
+    monkeypatch.setattr(chase, "explore_cotree", recording_explore)
+    return steps, trees
+
+
+def test_warm_separation_runs_no_chase_step(monkeypatch):
+    site = _fresh(DIAMOND_SITE)
+    steps, trees = _count_steps_and_cotrees(monkeypatch)
+    cold = separate_subobjects(site, 3, 7, 8)
+    assert steps and len(trees) == 1  # the cold call ran the chase
+    steps.clear()
+    warm = separate_subobjects(site, 3, 7, 8)
+    assert steps == []
+    assert trees[1] is trees[0]
+    assert warm == cold and warm.leaves == cold.leaves
+
+
+def test_warm_cover_check_runs_no_chase_step(monkeypatch):
+    site = _fresh(DIAMOND_SITE)
+    steps, trees = _count_steps_and_cotrees(monkeypatch)
+    fam = Family.make(3, [7])
+    cold = family_jointly_covers(site, fam)
+    assert steps and len(trees) == 1
+    steps.clear()
+    warm = family_jointly_covers(site, fam)
+    assert steps == []
+    assert trees[1] is trees[0]
+    assert warm == cold
+    separate_subobjects(site, 3, 3, 7)  # the same (root, budget, width) cotree
+    assert steps == []
+    assert trees[2] is trees[0]

@@ -11,6 +11,7 @@ from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
 
 from helpers import slow_plus, slow_sieve_topology
+from record_cli_documents import DOCUMENTS, chase_cli_cases, digest
 
 
 def fixture_path(name):
@@ -165,6 +166,18 @@ def test_separate_json_on_diamond_is_byte_identical(capsys):
     _, out = run_cli(capsys, "separate", fixture_path("diamond.site"),
                      "--object", "1", "--u", "0", "--v", "a", "--json")
     assert json.loads(out)["timings"] == {"leaves": 0}  # contained by factorization
+
+
+def test_chase_and_separate_json_match_the_recorded_documents(capsys):
+    """``separate --json`` on every subobject pair of every fixture top at
+    widths 0 and 1, and ``chase --json`` from every fixture root, print the
+    bytes recorded in ``cli_documents.json``."""
+    recorded = json.loads(DOCUMENTS.read_text())
+    cases = chase_cli_cases()
+    assert sorted(" ".join(case) for case in cases) == sorted(recorded)
+    for case in cases:
+        code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
+        assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
 
 
 def test_seed_flag_is_gone(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fixtures
-from finsite.fincat import FunctorData, identity_functor, poset_category
+from finsite.fincat import FinCategory, FunctorData, identity_functor, poset_category
 from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
                           SiteSpec, all_sieves, family_covers, generate_sieve_topology,
                           generated_sieve, is_sieve, is_site_morphism,
@@ -165,6 +165,26 @@ def test_all_sieves_guard_on_a_long_chain():
     assert len(all_sieves(cat, n - 2)) == n  # the n - 1 arrows form a chain
     with pytest.raises(ValueError):
         all_sieves(cat, n - 1)
+
+
+def test_warm_covering_sieves_hash_no_category(monkeypatch):
+    site = poset_site(boolean_leq(3))
+    topology = site_topology(site)
+    cold = {y: topology.covering_sieves(y) for y in site.cat.objects}
+    twin = dataclasses.replace(site.cat)  # equal categories share their sieves
+    for y in site.cat.objects:
+        assert all_sieves(twin, y) is all_sieves(site.cat, y)
+    calls = []
+    original = FinCategory.__hash__
+    monkeypatch.setattr(FinCategory, "__hash__",
+                        lambda self: calls.append(1) or original(self))
+    hash(site.cat)
+    assert calls == [1]  # the wrapper is live
+    calls.clear()
+    for y in site.cat.objects:
+        assert topology.covering_sieves(y) == cold[y]
+        assert all_sieves(site.cat, y) is all_sieves(site.cat, y)
+    assert calls == []
 
 
 def test_sieve_topology_point():
