@@ -168,9 +168,9 @@ def cmd_sheafify(args, text, parsed):
         "sheaf": _model_json(cat, sheafified.sheaf.presheaf),
         "unit": {cat.obj_name(z): list(sheafified.unit.components[z])
                  for z in cat.objects},
-        "certified_sieves": len(sheafified.sheaf.certificate),
+        "certified_sieves": sheafified.sheaf.certified_sieves,
     }
-    return EXIT_OK, result, [], {"certified_sieves": len(sheafified.sheaf.certificate)}
+    return EXIT_OK, result, [], {"certified_sieves": sheafified.sheaf.certified_sieves}
 
 
 def cmd_factor(args, text, parsed):

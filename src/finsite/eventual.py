@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
                      all_nat_transformations, compose_nat, covariant_representable)
-from .models import (ModelBound, delta_pairing, elements_category,
+from .models import (ModelBound, UnionFind, delta_pairing, elements_category,
                      enumerate_lex_functors)
 from .site import SiteSpec
 
@@ -198,19 +198,7 @@ def eta_component_check(site: SiteSpec,
         for t, target in enumerate(functors):
             triples = [(i, p, a) for i, p in elems
                        for a, _ in enumerate(homs[(i, t)])]
-            parent = {tr: tr for tr in triples}
-
-            def find(tr):
-                while parent[tr] != tr:
-                    parent[tr] = parent[parent[tr]]
-                    tr = parent[tr]
-                return tr
-
-            def union(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
+            uf = UnionFind(triples)
             for i, p in elems:
                 for j, fj in enumerate(functors):
                     for beta in homs[(i, j)]:
@@ -218,10 +206,10 @@ def eta_component_check(site: SiteSpec,
                         for a, alpha in enumerate(homs[(j, t)]):
                             composed = compose_nat(alpha, beta)
                             a_index = hom_index[(i, t)][composed.components]
-                            union((j, q, a), (i, p, a_index))
+                            uf.union((j, q, a), (i, p, a_index))
             classes = {}
             for tr in triples:
-                classes.setdefault(find(tr), []).append(tr)
+                classes.setdefault(uf.find(tr), []).append(tr)
             values = {}
             for root, members in classes.items():
                 vals = {homs[(i, t)][a].components[v][p] for i, p, a in members}

@@ -82,6 +82,14 @@ class FinCategory:
         return tuple(tuple(tuple(cell) for cell in row) for row in table)
 
     @cached_property
+    def _hom_counts(self) -> tuple[list[int], ...]:
+        """x -> the column [|hom(w, x)| for every object w].  Lists, as are
+        the vectors limits compares them with: CPython keeps up to 2,000
+        freed tuples of each small length for reuse, so a tuple per call
+        would hold memory after the calls end."""
+        return tuple([len(row[x]) for row in self._hom_table] for x in self.objects)
+
+    @cached_property
     def _into_table(self):
         table = [[] for _ in self.objects]
         for f in self.morphisms:

@@ -1,5 +1,9 @@
-"""Finite limits by exhaustive terminal-cone search, subobject lattices,
-image factorizations and extremal/effective-epi detection."""
+"""Finite limits, subobject lattices, image factorizations and
+extremal/effective-epi detection.
+
+Pullbacks and the terminal object are read straight off the hom tables.
+General limits (and the oracle for those two) use the exhaustive
+terminal-cone search of ``limit``."""
 
 from __future__ import annotations
 
@@ -111,19 +115,47 @@ class PullbackSquare:
 
 
 def pullback(cat: FinCategory, f: int, g: int):
-    """Canonical pullback of the cospan (f, g), or None if absent."""
+    """Canonical pullback of the cospan (f, g), or None if absent.
+
+    The square is the cone ``limit(cat, cospan_diagram(cat, f, g))`` returns,
+    found without building the diagram or listing cones.  A cone (p, q) on
+    apex x is terminal iff, for every w, h |-> (p∘h, q∘h) maps hom(w, x)
+    bijectively onto the cones over w.  So only an apex whose hom-count
+    column equals the cone counts can carry one, and on such an apex the
+    map is a bijection as soon as it is injective.
+    """
     cache = cat._pullback_table
     key = (f, g)
     if key not in cache:
-        cone = limit(cat, cospan_diagram(cat, f, g))
-        cache[key] = None if cone is None else PullbackSquare(
-            cone.apex, cone.legs[0], cone.legs[1])
+        cache[key] = _pullback_square(cat, f, g)
     return cache[key]
 
 
+def _pullback_square(cat: FinCategory, f: int, g: int):
+    if cat.cod[f] != cat.cod[g]:
+        raise ValueError("cospan legs must share a codomain")
+    a, b = cat.dom[f], cat.dom[g]
+    comp, hom = cat.comp, cat._hom_table
+    comp_f, comp_g = comp[f], comp[g]
+    counts = [sum(comp_f[p] == comp_g[q] for p in row[a] for q in row[b])
+              for row in hom]
+    for x, column in enumerate(cat._hom_counts):
+        if column != counts:
+            continue
+        for p in hom[x][a]:
+            for q in hom[x][b]:
+                if comp_f[p] == comp_g[q] and all(
+                        n < 2 or len({(comp[p][h], comp[q][h]) for h in hom[w][x]}) == n
+                        for w, n in enumerate(counts)):
+                    return PullbackSquare(x, p, q)
+    return None
+
+
 def terminal_object(cat: FinCategory):
-    cone = limit(cat, empty_diagram(cat))
-    return None if cone is None else cone.apex
+    """The least object with exactly one arrow from every object, or None."""
+    ones = [1] * cat.n_objects
+    return next((x for x, column in enumerate(cat._hom_counts) if column == ones),
+                None)
 
 
 def strict_initial(cat: FinCategory):

@@ -332,7 +332,9 @@ def subfunctor(m: SetValuedFunctor, kept) -> SetValuedFunctor:
     return SetValuedFunctor(cat, m.variance, sizes, tuple(action))
 
 
-class _UnionFind:
+class UnionFind:
+    """Path halving; the smaller root wins a union, so roots are class minima."""
+
     def __init__(self, items):
         self.parent = {item: item for item in items}
 
@@ -376,7 +378,7 @@ def lan_ay(m: SetValuedFunctor, f_presheaf) -> LanResult:
     cat = m.cat
     triples = [(x, s, p) for x in cat.objects
                for s in f_presheaf.carrier(x) for p in m.carrier(x)]
-    uf = _UnionFind(triples)
+    uf = UnionFind(triples)
     for h in cat.morphisms:
         x, y = cat.dom[h], cat.cod[h]
         for t in f_presheaf.carrier(y):

@@ -17,9 +17,9 @@ from finsite import limits
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
                            WITNESS, Cotree, CotreeNode, SeparationResult,
                            branch_colimit, run_branch, unpairing)
-from finsite.fincat import (CONTRAVARIANT, COVARIANT, FinCategory, NatTransData,
-                            SetValuedFunctor, make_category, poset_category,
-                            validate_set_functor)
+from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
+                            NatTransData, SetValuedFunctor, make_category,
+                            poset_category, validate_set_functor)
 from finsite.lattice import FinLattice, downset_lattice
 from finsite.presheaf import PlusData, _sorted_arrows, matching_families
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
@@ -59,6 +59,44 @@ def iso_pair_category() -> FinCategory:
         3, [(0, 1), (1, 0), (0, 2), (1, 2)],
         {(4, 3): 0, (3, 4): 1, (6, 3): 5, (5, 4): 6},
         ("x", "y", "T"), ("i", "j", "tx", "ty"))
+
+
+def involution_category() -> FinCategory:
+    """An involution s on x over a terminal object T: t∘s = t."""
+    # objects x=0, T=1; arrows s=2, t=3
+    return make_category(2, [(0, 0), (0, 1)], {(2, 2): 0, (3, 2): 3},
+                         ("x", "T"), ("s", "t"))
+
+
+def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
+    """C × D, objects and morphisms numbered pairwise in lexicographic order."""
+    nd = d.n_morphisms
+
+    def pair_comp(g, f):
+        h1, h2 = c.comp[g // nd][f // nd], d.comp[g % nd][f % nd]
+        return UNDEFINED if UNDEFINED in (h1, h2) else h1 * nd + h2
+
+    n = c.n_morphisms * nd
+    return FinCategory(
+        dom=tuple(c.dom[f // nd] * d.n_objects + d.dom[f % nd] for f in range(n)),
+        cod=tuple(c.cod[f // nd] * d.n_objects + d.cod[f % nd] for f in range(n)),
+        identity=tuple(c.identity[x] * nd + d.identity[y]
+                       for x in c.objects for y in d.objects),
+        comp=tuple(tuple(pair_comp(g, f) for f in range(n)) for g in range(n)))
+
+
+def reversed_ids(cat: FinCategory) -> FinCategory:
+    """The same category with morphism f renumbered n-1-f, so identities
+    come last in every hom set and ascending scans meet them last."""
+    n = cat.n_morphisms
+
+    def flip(f):
+        return f if f == UNDEFINED else n - 1 - f
+
+    return FinCategory(
+        dom=cat.dom[::-1], cod=cat.cod[::-1],
+        identity=tuple(flip(i) for i in cat.identity),
+        comp=tuple(tuple(flip(h) for h in row[::-1]) for row in cat.comp[::-1]))
 
 
 @st.composite

@@ -1,25 +1,68 @@
 """Limit search, subobjects, extremal families, factorizations."""
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from finsite import fixtures
-from finsite.fincat import all_nat_transformations, check_nat
-from finsite.limits import (Cone, cospan_diagram, discrete_diagram,
-                            empty_diagram, image_factorization_abstract,
+from finsite.fincat import all_nat_transformations, check_nat, poset_category
+from finsite.limits import (Cone, PullbackSquare, cospan_diagram,
+                            discrete_diagram, empty_diagram,
+                            image_factorization_abstract,
                             image_factorization_pointwise, is_effective_epi,
                             is_extremal_epi_family, limit, pullback,
                             strict_initial, subobject_lattice, terminal_object)
 from finsite.models import ModelBound, enumerate_models
 from finsite.presheaf import enumerate_presheaves
 
-from helpers import cospan_only_category, discrete2_category, fork_category
+from helpers import (boolean_leq, cospan_only_category, discrete2_category,
+                     fork_category, grid_leq, involution_category,
+                     iso_pair_category, left_zero_monoid, posets,
+                     product_category, reversed_ids)
 
 DIAMOND = fixtures.load_site("diamond").cat
 POINT = fixtures.load_site("point").cat
 ARROW = fixtures.load_site("arrow").cat
 ALL_SITES = fixtures.all_sites()
+NON_POSETS = {"fork": fork_category(), "left_zero_monoid": left_zero_monoid(),
+              "iso_pair": iso_pair_category(), "involution": involution_category()}
+# With identities numbered last, the first cone on a pullback apex can fail
+# to be terminal, so these exercise the bijection test, not only the counts.
+NON_POSETS.update({f"{name}_reversed": reversed_ids(cat)
+                   for name, cat in list(NON_POSETS.items())})
+NON_POSETS["left_zero_monoid_x_involution_reversed"] = reversed_ids(
+    product_category(left_zero_monoid(), involution_category()))
+CATALOGUE = {
+    **{name: site.cat for name, site in ALL_SITES.items()},
+    "bool_3": poset_category(boolean_leq(3)),
+    "bool_4": poset_category(boolean_leq(4)),
+    "pbool_4": poset_category([row[1:] for row in boolean_leq(4)[1:]]),
+    "grid_3x4": poset_category(grid_leq(3, 4)),
+    **NON_POSETS,
+    "cospan_only": cospan_only_category(),
+    "discrete": discrete2_category(),
+}
+
+
+def _assert_hom_table_limits_match_oracle(cat, name=""):
+    """pullback and terminal_object, answered on a fresh copy of cat so no
+    cache entry filled on one side answers for the other, equal the cones
+    the exhaustive limit search returns."""
+    fresh = dataclasses.replace(cat)
+    cone = limit(cat, empty_diagram(cat))
+    assert terminal_object(fresh) == (None if cone is None else cone.apex), name
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if cat.cod[f] != cat.cod[g]:
+                continue
+            cone = limit(cat, cospan_diagram(cat, f, g))
+            square = pullback(fresh, f, g)
+            assert (square is None) == (cone is None), (name, f, g)
+            if square is not None:
+                assert (square.apex, square.to_left, square.to_right) \
+                    == (cone.apex, cone.legs[0], cone.legs[1]), (name, f, g)
 
 
 def test_limit_of_empty_diagram_is_terminal():
@@ -51,18 +94,36 @@ def test_poset_limits_are_meets():
 
 
 def test_pullback_matches_cospan_limit():
-    for name, site in ALL_SITES.items():
-        cat = site.cat
+    for name, cat in CATALOGUE.items():
+        _assert_hom_table_limits_match_oracle(cat, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_objects=6))
+def test_pullback_matches_cospan_limit_on_random_posets(leq):
+    _assert_hom_table_limits_match_oracle(poset_category(leq))
+
+
+def test_pullback_rejects_legs_with_different_codomains():
+    for cat in (DIAMOND, dataclasses.replace(DIAMOND)):
+        f, g = DIAMOND.hom(0, 1)[0], DIAMOND.hom(0, 2)[0]
+        with pytest.raises(ValueError):
+            pullback(cat, f, g)
+
+
+def test_effective_epis_and_images_unchanged_on_oracle_squares():
+    """With every kernel pair taken from the limit oracle instead, the
+    effective-epi verdicts and abstract image factorizations are the same."""
+    for name, cat in {**{n: s.cat for n, s in ALL_SITES.items()}, **NON_POSETS}.items():
+        oracle = dataclasses.replace(cat)
         for f in cat.morphisms:
-            for g in cat.morphisms:
-                if cat.cod[f] != cat.cod[g]:
-                    continue
-                square = pullback(cat, f, g)
-                cone = limit(cat, cospan_diagram(cat, f, g))
-                assert (square is None) == (cone is None)
-                if square is not None:
-                    assert (square.apex, square.to_left, square.to_right) \
-                        == (cone.apex, cone.legs[0], cone.legs[1])
+            cone = limit(cat, cospan_diagram(cat, f, f))
+            oracle._pullback_table[(f, f)] = None if cone is None else \
+                PullbackSquare(cone.apex, cone.legs[0], cone.legs[1])
+        for f in cat.morphisms:
+            assert is_effective_epi(cat, f) == is_effective_epi(oracle, f), (name, f)
+            assert image_factorization_abstract(cat, f) \
+                == image_factorization_abstract(oracle, f), (name, f)
 
 
 def test_pullback_examples():
