@@ -7,7 +7,7 @@ is ever extrapolated from an unfinished branch.
 
 The per-site tables (task lists and their stage-stamped columns, dead and
 stable objects, verified branch colimits, explored cotrees) live in
-``SiteSpec._chase_table``, filled here on first use, so a chase step never
+``SiteSpec._table``, filled here on first use, so a chase step never
 hashes the site.
 """
 
@@ -87,7 +87,7 @@ def nonempty_covers(site: SiteSpec) -> list[Family]:
 def _task_list(site: SiteSpec, u: int) -> tuple[Task, ...]:
     """T_u: every (arrow out of u, nonempty family on its codomain) diagram,
     ordered by (arrow id, family position)."""
-    table = site._chase_table
+    table = site._table
     key = ("tasks", u)
     if key not in table:
         cat = site.cat
@@ -100,7 +100,7 @@ def _task_list(site: SiteSpec, u: int) -> tuple[Task, ...]:
 def _task_column(site: SiteSpec, u: int, stage: int) -> tuple[Task, ...]:
     """Column ``stage`` of a branch whose newest object is u: T_u stamped
     with the stage.  It depends on nothing else, so every branch shares it."""
-    table = site._chase_table
+    table = site._table
     key = ("column", u, stage)
     if key not in table:
         table[key] = tuple(Task(stage, t.arrow, t.family)
@@ -112,7 +112,7 @@ def _dead_objects(site: SiteSpec) -> frozenset[int]:
     """Objects whose branches are written off: the strict initial (unless the
     site is degenerate and it is also terminal, where the dichotomy is
     non-exclusive) and everything that maps into an empty-covered object."""
-    table = site._chase_table
+    table = site._table
     if "dead" not in table:
         cat = site.cat
         dead = set()
@@ -136,7 +136,7 @@ def _stabilized_objects(site: SiteSpec) -> frozenset[int]:
     Quantifying over earlier stages is subsumed: composites out of u_n are
     themselves arrows out of u_n.
     """
-    table = site._chase_table
+    table = site._table
     if "stable" not in table:
         cat = site.cat
         fams = nonempty_covers(site)
@@ -238,7 +238,7 @@ def branch_colimit(branch: ChaseBranch) -> Model:
         key = ("colimit", STABILIZED, branch.current)
     else:
         raise ValueError("branch exceeded its budget; no colimit is computed")
-    table = site._chase_table
+    table = site._table
     if key not in table:
         if branch.status == DEAD:
             functor = constant_singleton(site.cat)
@@ -276,9 +276,9 @@ def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
     A child shares its parent's first d steps, d the parent's depth, and the
     parent took leg 0 at step d, so child 0 is the parent's branch itself
     and child k >= 1 runs on from the parent's state before step d.  The
-    cotree is kept in the site's chase table, one per (root, budget, width).
+    cotree is kept in the site's table, one per (root, budget, width).
     """
-    table = site._chase_table
+    table = site._table
     key = ("cotree", root, budget, width)
     if key in table:
         return table[key]

@@ -209,7 +209,7 @@ def cmd_lattice_embed(args, text, parsed):
                 emb = lattice.model_embed(lat, prescribed, budget=args.budget)
             problems = emb.verify(lat, prescribed)
             if problems:
-                raise AssertionError("; ".join(problems))
+                raise lattice.EmbeddingError("; ".join(problems))
             result["embeddings"][method] = {
                 "points": [str(p) for p in emb.points],
                 "images": {lat.name(a): sorted(str(p) for p in emb.images[a])
@@ -221,6 +221,9 @@ def cmd_lattice_embed(args, text, parsed):
         return EXIT_REFUTED, {"verdict": "NON_DISTRIBUTIVE"}, witnesses, {}
     except lattice.InconclusiveError as exc:
         return EXIT_INCONCLUSIVE, {"verdict": "INCONCLUSIVE", "detail": str(exc)}, [], {}
+    except lattice.EmbeddingError as exc:
+        return EXIT_REFUTED, {"verdict": "EMBEDDING_FAILED", "method": method,
+                              "detail": str(exc)}, [], {}
     return EXIT_OK, result, witnesses, {}
 
 

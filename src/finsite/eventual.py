@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
                      all_nat_transformations, compose_nat, covariant_representable)
 from .models import (ModelBound, UnionFind, delta_pairing, elements_category,
-                     enumerate_lex_functors)
+                     enumerate_lex_functors, nat_via_limit)
 from .site import SiteSpec
 
 
@@ -150,29 +150,32 @@ def delta_iso_check(m: SetValuedFunctor, n: SetValuedFunctor, others=()) -> bool
             or len(set(pairing)) != len(nats):
         return False
     elems_m = elements_category(m)
+    position_m = {e: k for k, e in enumerate(elems_m)}
     for other in others:
         # naturality in the target slot: postcompose with beta: N => N'
+        limit2 = None  # lim over ∫M of N', taken once the first beta exists
         for beta in all_nat_transformations(n, other):
-            _, families2, _ = delta_pairing(m, other)
-            index2 = {fam: k for k, fam in enumerate(families2)}
+            if limit2 is None:
+                limit2 = set(nat_via_limit(m, other))
             for alpha, fam_idx in zip(nats, pairing):
                 post = compose_nat(beta, alpha)
                 lhs = tuple(post.components[x][p] for x, p in elems_m)
                 rhs = tuple(beta.components[x][families[fam_idx][k]]
                             for k, (x, p) in enumerate(elems_m))
-                if lhs != rhs or lhs not in index2:
+                if lhs != rhs or lhs not in limit2:
                     return False
         # naturality in the source slot: precompose with gamma: M' => M
+        elems_o = elements_category(other)
+        limit3 = None  # lim over ∫M' of N, taken once the first gamma exists
         for gamma in all_nat_transformations(other, m):
-            elems_o = elements_category(other)
-            _, families3, _ = delta_pairing(other, n)
-            index3 = {fam: k for k, fam in enumerate(families3)}
+            if limit3 is None:
+                limit3 = set(nat_via_limit(other, n))
+            moved = [position_m[x, gamma.components[x][p]] for x, p in elems_o]
             for alpha, fam_idx in zip(nats, pairing):
                 pre = compose_nat(alpha, gamma)
                 lhs = tuple(pre.components[x][p] for x, p in elems_o)
-                rhs = tuple(families[fam_idx][elems_m.index((x, gamma.components[x][p]))]
-                            for x, p in elems_o)
-                if lhs != rhs or lhs not in index3:
+                rhs = tuple(families[fam_idx][k] for k in moved)
+                if lhs != rhs or lhs not in limit3:
                     return False
     return True
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .fincat import make_category, poset_category
+from .fincat import make_category, order_closure, poset_category
 from .lattice import FinLattice
 from .site import Family, SiteSpec, validate_site
 
@@ -149,14 +149,7 @@ def _assemble_site(builder: _SiteBuilder) -> SiteSpec:
                     names.append(name)
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for a, b in builder.poset_relations:
-            leq[index[a]][index[b]] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if leq[i][k] and leq[k][j]:
-                        leq[i][j] = True
+        leq = order_closure(n, [(index[a], index[b]) for a, b in builder.poset_relations])
         for i in range(n):
             for j in range(n):
                 if i != j and leq[i][j] and leq[j][i]:
@@ -266,22 +259,17 @@ def _parse_lattice_block(lineno: int, body: str):
             if name not in index:
                 raise ParseError(lineno, 1, f"unknown lattice element {name!r}")
         prescribed.append((index[target], tuple(index[name] for name in members)))
-    n = len(names)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    relation = []
     chunk = " ".join(relation_chunks)
     for rel in re.finditer(rf"({_NAME})\s*<\s*({_NAME})", chunk):
         a, b = rel.group(1), rel.group(2)
         if a not in index or b not in index:
             raise ParseError(lineno, 1, f"unknown lattice element in {a!r} < {b!r}")
-        leq[index[a]][index[b]] = True
+        relation.append((index[a], index[b]))
     leftovers = re.sub(rf"({_NAME})\s*<\s*({_NAME})", "", chunk).strip()
     if leftovers:
         raise ParseError(lineno, 1, f"unrecognized lattice content {leftovers!r}")
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if leq[i][k] and leq[k][j]:
-                    leq[i][j] = True
+    leq = order_closure(len(names), relation)
     lat = FinLattice(tuple(tuple(row) for row in leq), tuple(names))
     from .lattice import validate_lattice
     violations = validate_lattice(lat)

@@ -197,6 +197,19 @@ def op_category(cat: FinCategory) -> FinCategory:
                        comp=comp, obj_names=cat.obj_names, mor_names=cat.mor_names)
 
 
+def order_closure(n: int, pairs) -> list[list[bool]]:
+    """The reflexive-transitive closure of a relation on range(n), as a
+    boolean leq matrix: leq[i][j] iff j is reachable from i along pairs."""
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        leq[i][j] = True
+    for k in range(n):  # Warshall: paths through 0..k
+        for row in leq:
+            if row[k]:
+                row[:] = [a or b for a, b in zip(row, leq[k])]
+    return leq
+
+
 def poset_category(leq, obj_names=()):
     """Category of a finite poset given as a boolean leq matrix.
 
@@ -407,12 +420,6 @@ def validate_set_functor(fn: SetValuedFunctor) -> list[str]:
             if fn.action[h] != expected:
                 report.append(f"action not functorial at ({g},{f})")
     return report
-
-
-def identity_action(cat: FinCategory, sizes) -> list[tuple[int, ...]]:
-    """Action table skeleton with identities filled in, UNDEFINED-free."""
-    return [tuple(range(sizes[cat.dom[f]])) if cat.is_identity(f) else ()
-            for f in cat.morphisms]
 
 
 def constant_singleton(cat: FinCategory, variance=COVARIANT) -> SetValuedFunctor:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .chase import CONTAINED, WITNESS, separate_subobjects
-from .fincat import poset_category
+from .fincat import order_closure, poset_category
 from .site import Family, SiteSpec
 
 
@@ -20,6 +20,10 @@ class NonDistributiveError(Exception):
 
 class InconclusiveError(Exception):
     """A chase budget ran out before the embedding could be certified."""
+
+
+class EmbeddingError(Exception):
+    """An embedding route gave a map that fails the corollary's checks."""
 
 
 @dataclass(frozen=True)
@@ -248,7 +252,8 @@ def model_embed(lat: FinLattice, prescribed=(), budget: int = 64) -> Embedding:
             v = cat.identity[b] if b == top else cat.hom(b, top)[0]
             result = separate_subobjects(site, top, u, v, budget=budget)
             if result.verdict == CONTAINED:
-                raise AssertionError("order disagrees with mono factorization")
+                raise EmbeddingError(f"order disagrees with mono factorization "
+                                     f"at ({lat.name(a)}, {lat.name(b)})")
             if result.verdict != WITNESS:
                 raise InconclusiveError(f"budget exhausted separating ({a},{b})")
             witnesses[result.witness_branch.current] = result.witness
@@ -261,14 +266,7 @@ def model_embed(lat: FinLattice, prescribed=(), budget: int = 64) -> Embedding:
 
 def downset_lattice(n_points: int, relation) -> FinLattice:
     """The lattice of downsets of a poset given by its strict relation pairs."""
-    leq_pts = [[i == j for j in range(n_points)] for i in range(n_points)]
-    for i, j in relation:
-        leq_pts[i][j] = True
-    for k in range(n_points):  # transitive closure
-        for i in range(n_points):
-            for j in range(n_points):
-                if leq_pts[i][k] and leq_pts[k][j]:
-                    leq_pts[i][j] = True
+    leq_pts = order_closure(n_points, relation)
     downsets = []
     for bits in itertools.product((0, 1), repeat=n_points):
         members = {i for i in range(n_points) if bits[i]}

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .fincat import (CONTRAVARIANT, FinCategory, NatTransData, SetValuedFunctor,
                      all_nat_transformations, compose_nat, op_category,
-                     representable_presheaf)
+                     order_closure, representable_presheaf)
 from .site import Sieve, SieveTopology, SiteSpec, site_topology
 
 
@@ -102,7 +102,6 @@ class PlusData:
         return k
 
 
-@lru_cache(maxsize=None)
 def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     """The +-construction: P⁺(x) is the matching families over the least
     covering sieve J₀(x), in lexicographic order.
@@ -113,8 +112,13 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     are identified iff they agree on J₀(x), and each class holds exactly one
     family on J₀(x).  J₀(x) also comes first in ``Sieve.sort_key`` order, so
     that family is the least one of its class.  Restriction and the unit
-    restrict to J₀ of the domain and look the result up.
+    restrict to J₀ of the domain and look the result up.  The result is
+    kept in the topology's plus table.
     """
+    table = topology._plus_table
+    found = table.get(p)
+    if found is not None:
+        return found
     cat = p.cat
     least = [_sorted_arrows(topology.least[x]) for x in cat.objects]
     families = [_families_on(p, topology.least[x])[1] for x in cat.objects]
@@ -122,7 +126,7 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     position = [{f: k for k, f in enumerate(arrows)} for arrows in least]
     sizes = tuple(len(fams) for fams in families)
 
-    # tuples are built from lists: the plus cache keeps them, and a tuple
+    # tuples are built from lists: the plus table keeps them, and a tuple
     # built from a generator can keep an over-allocated block
     action = []
     for f in cat.morphisms:
@@ -138,7 +142,8 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     unit = NatTransData(p, plus_presheaf, unit_components)
     reps = tuple(tuple([(topology.least[x], least[x], m) for m in families[x]])
                  for x in cat.objects)
-    return PlusData(p, topology, plus_presheaf, unit, reps)
+    found = table[p] = PlusData(p, topology, plus_presheaf, unit, reps)
+    return found
 
 
 def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
@@ -157,12 +162,20 @@ def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
     return NatTransData(src_plus.presheaf, tgt_plus.presheaf, tuple(components))
 
 
+def _unit_failure(p: SetValuedFunctor, topology: SieveTopology) -> int | None:
+    """The least object at which the unit P => P⁺ is not a bijection, or
+    None when there is none."""
+    unit = plus(p, topology).unit
+    for x, component in enumerate(unit.components):
+        if not len(set(component)) == len(component) == unit.target.sizes[x]:
+            return x
+    return None
+
+
 def is_sheaf(p: SetValuedFunctor, topology: SieveTopology) -> bool:
     """P is a sheaf iff its unit P => P⁺ is a bijection at every object
     (Mac Lane-Moerdijk III.5)."""
-    unit = plus(p, topology).unit
-    return all(len(set(component)) == len(component) == unit.target.sizes[x]
-               for x, component in enumerate(unit.components))
+    return _unit_failure(p, topology) is None
 
 
 def sheaf_for_family(p: SetValuedFunctor, cat: FinCategory, fam) -> bool:
@@ -184,17 +197,13 @@ class SheafObject:
 
     @staticmethod
     def build(p: SetValuedFunctor, topology: SieveTopology) -> "SheafObject":
-        """Check the sheaf condition on each J₀(x), which gives it on every
-        covering sieve, and count the covering sieves."""
-        cat = p.cat
-        certified = 0
-        for x in cat.objects:
-            arrows, fams = _families_on(p, topology.least[x])
-            images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(x)}
-            if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
-                raise ValueError(f"sheaf condition fails at object {x}")
-            certified += len(topology.covering_sieves(x))
-        return SheafObject(p, certified)
+        """Check the sheaf condition by the unit criterion of ``is_sheaf``,
+        which gives it on every covering sieve, and count the covering
+        sieves."""
+        x = _unit_failure(p, topology)
+        if x is not None:
+            raise ValueError(f"sheaf condition fails at object {x}")
+        return SheafObject(p, sum(len(topology.covering_sieves(y)) for y in p.cat.objects))
 
 
 @dataclass(frozen=True)
@@ -203,7 +212,6 @@ class Sheafification:
     unit: NatTransData  # P => aP, the composite of the two plus units
 
 
-@lru_cache(maxsize=None)
 def sheafify(p: SetValuedFunctor, topology: SieveTopology) -> Sheafification:
     """a = (+)(+); both passes always run, idempotence is a test not an assumption."""
     first = plus(p, topology)
@@ -216,10 +224,13 @@ def sheafify_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
     return plus_map(plus_map(theta, topology), topology)
 
 
-@lru_cache(maxsize=None)
 def ay(site: SiteSpec, x: int) -> Sheafification:
-    """Sheafification of the representable at x."""
-    return sheafify(representable_presheaf(site.cat, x), site_topology(site))
+    """Sheafification of the representable at x, kept in the site's table."""
+    table = site._table
+    key = ("ay", x)
+    if key not in table:
+        table[key] = sheafify(representable_presheaf(site.cat, x), site_topology(site))
+    return table[key]
 
 
 def postcompose_nat(cat: FinCategory, g: int) -> NatTransData:
@@ -235,13 +246,15 @@ def postcompose_nat(cat: FinCategory, g: int) -> NatTransData:
     return NatTransData(src, tgt, tuple(components))
 
 
-@lru_cache(maxsize=None)
 def sheafified_postcompose(site: SiteSpec, g: int) -> NatTransData:
-    """a((g)_*): ay(dom g) => ay(cod g)."""
-    return sheafify_map(postcompose_nat(site.cat, g), site_topology(site))
+    """a((g)_*): ay(dom g) => ay(cod g), kept in the site's table."""
+    table = site._table
+    key = ("postcompose", g)
+    if key not in table:
+        table[key] = sheafify_map(postcompose_nat(site.cat, g), site_topology(site))
+    return table[key]
 
 
-@lru_cache(maxsize=None)
 def _unit_tables(site: SiteSpec, x: int):
     """Per object w: map from ay(x)(w) elements back to the least morphism
     g: w -> x whose unit image they are (None for glued-only sections)."""
@@ -321,8 +334,10 @@ def factor_through_cover(site: SiteSpec, alpha: NatTransData,
         raise FactorizationError("generic section is not locally a unit image")
     if cat.identity[x] in sieve.arrows:
         legs = (cat.identity[x],)
-    else:
-        legs = _maximal_arrows(cat, sieve_arrows)
+    else:  # sieve_arrows is ascending, so each mutual class keeps its least id
+        legs = tuple(_maximal(sieve_arrows, {
+            f: {g for g in sieve_arrows if cat.factors_through(f, g) is not None}
+            for f in sieve_arrows}))
     gs = tuple(unit_back[cat.dom[f]][target.action[f][e0]] for f in legs)
     for f, g in zip(legs, gs):
         lhs = compose_nat(alpha, sheafified_postcompose(site, f))
@@ -332,20 +347,18 @@ def factor_through_cover(site: SiteSpec, alpha: NatTransData,
     return CoverFactorization(legs, gs)
 
 
-def _maximal_arrows(cat, arrows) -> tuple[int, ...]:
-    """Arrows not strictly below another under the factoring preorder,
-    one least id per mutual-factoring class."""
-    arrows = sorted(set(arrows))
-    below = {f: {g for g in arrows if cat.factors_through(f, g) is not None}
-             for f in arrows}
+def _maximal(items, above) -> list:
+    """The items not strictly below another, and of each class of mutually
+    related items only the first; ``above[i]`` is the set of items at or
+    above i in a preorder."""
     keep = []
-    for f in arrows:
-        if any(g in below[f] and f not in below[g] for g in arrows):
-            continue  # strictly below g
-        if any(k in below[f] and f in below[k] for k in keep):
-            continue  # mutual class already represented by a smaller id
-        keep.append(f)
-    return tuple(keep)
+    for i in items:
+        if any(j in above[i] and i not in above[j] for j in items):
+            continue  # strictly below j
+        if any(k in above[i] and i in above[k] for k in keep):
+            continue  # its class is already represented
+        keep.append(i)
+    return keep
 
 
 def representable_map_into(site: SiteSpec, z: int, target: SetValuedFunctor,
@@ -379,25 +392,16 @@ def cover_mono_by_representables(site: SiteSpec, iota: NatTransData,
         raise ValueError("iota is not pointwise injective")
     unit_back = _unit_tables(site, x)
     elements = [(z, s) for z in cat.objects for s in f_obj.carrier(z)]
-    restricts = {}  # (z,s) -> elements it restricts from (one hop up)
-    for z, s in elements:
-        above = set()
-        for h in cat.out_of(z):
-            w = cat.cod[h]
-            above.update((w, t) for t in f_obj.carrier(w)
-                         if f_obj.action[h][t] == s)
-        restricts[(z, s)] = above
-    closure = {elt: _restriction_closure(restricts, elt) for elt in elements}
+    index = {elt: k for k, elt in enumerate(elements)}
+    # k <= l when element k is a restriction of element l
+    leq = order_closure(len(elements), [
+        (index[z, s], index[cat.cod[h], t]) for z, s in elements for h in cat.out_of(z)
+        for t in f_obj.carrier(cat.cod[h]) if f_obj.action[h][t] == s])
+    above = [{j for j, up in enumerate(row) if up} for row in leq]
     entries = []
-    kept = []
-    for elt in elements:
-        if any(other in closure[elt] and elt not in closure[other]
-               for other in elements):
-            continue  # elt is strictly a restriction of another element
-        if any(k in closure[elt] and elt in closure[k] for k in kept):
-            continue  # mutual class already represented
-        kept.append(elt)
-    for z, s in kept:
+    # keep the elements that are not strictly a restriction of another
+    for k in _maximal(range(len(elements)), above):
+        z, s = elements[k]
         beta = representable_map_into(site, z, f_obj, s)
         e = iota.components[z][s]
         g = unit_back[z][e]
@@ -409,16 +413,3 @@ def cover_mono_by_representables(site: SiteSpec, iota: NatTransData,
             entries.append(RepresentableCoverEntry(
                 cat.dom[f], compose_nat(beta, sheafified_postcompose(site, f)), g_leg))
     return entries
-
-
-def _restriction_closure(restricts, elt):
-    """Elements reachable upward from elt along restriction edges."""
-    seen = {elt}
-    frontier = [elt]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in restricts[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen

@@ -53,11 +53,12 @@ class SiteSpec:
         return [fam for fam in self.covers if fam.codomain == y]
 
     @cached_property
-    def _chase_table(self) -> dict:
-        """Per-site chase data (task lists and stage-stamped columns, dead
-        and stable objects, branch colimits, cotrees), filled by the chase
-        module.  It lives on the site, not the category, because it depends
-        on the covers."""
+    def _table(self) -> dict:
+        """Per-site derived data, filled on first use: the chase's task
+        lists and stage-stamped columns, dead and stable objects, branch
+        colimits and cotrees, and presheaf's sheafified representables and
+        post-compositions.  It lives on the site, not the category, because
+        it depends on the covers."""
         return {}
 
     @cached_property
@@ -292,6 +293,11 @@ class SieveTopology:
         """Every covering sieve on y in ``Sieve.sort_key`` order, J₀(y) first."""
         least = self.least[y].arrows
         return [sieve for sieve in all_sieves(self.cat, y) if least <= sieve.arrows]
+
+    @cached_property
+    def _plus_table(self) -> dict:
+        """presheaf -> its plus-construction, filled by presheaf.plus."""
+        return {}
 
 
 def generate_sieve_topology(site: SiteSpec) -> SieveTopology:

@@ -7,6 +7,7 @@ raw definitions, so agreement tests compare genuinely different deciders.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -34,6 +35,11 @@ def fork_category() -> FinCategory:
         3, [(0, 1), (0, 1), (1, 2), (0, 2)],
         {(5, 3): 6, (5, 4): 6},
         ("x", "y", "z"), ("f", "g", "q", "h"))
+
+
+def fresh_site(site: SiteSpec) -> SiteSpec:
+    """The same site over a new, equal category: every table starts empty."""
+    return SiteSpec(dataclasses.replace(site.cat), site.covers)
 
 
 def discrete2_category() -> FinCategory:

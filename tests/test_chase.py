@@ -22,8 +22,8 @@ from finsite.models import (Model, ModelBound, enumerate_models, is_lex,
 from finsite.presheaf import extremal_epi_in_sh, sheafified_postcompose
 from finsite.site import Family, MissingPullbackError, SiteSpec, site_topology
 
-from helpers import (boolean_leq, iso_pair_category, left_zero_monoid, poset_site,
-                     posets, random_covers_site, slow_explore_cotree,
+from helpers import (boolean_leq, fresh_site, iso_pair_category, left_zero_monoid,
+                     poset_site, posets, random_covers_site, slow_explore_cotree,
                      slow_separate_subobjects)
 
 ALL_SITES = fixtures.all_sites()
@@ -258,11 +258,6 @@ def test_empty_cover_reachability_kills_branches():
             assert branch_colimit(leaf).functor.sizes[0] == 0
 
 
-def _fresh(site):
-    """The same site over a new, equal category: every table starts empty."""
-    return SiteSpec(dataclasses.replace(site.cat), site.covers)
-
-
 def _stopped_at(site, obj, status):
     """A terminated branch at obj; branch_colimit reads only these fields."""
     return ChaseBranch(site, obj, ((obj, site.cat.identity[obj]),), (), (), status)
@@ -283,7 +278,7 @@ def test_chase_tables_belong_to_the_site_not_the_category():
         != branch_colimit(_stopped_at(other, top, STABILIZED))
     assert explore_cotree(DIAMOND_SITE, top) != explore_cotree(other, top)
     for site in (DIAMOND_SITE, other, DIAMOND_SITE):
-        fresh = _fresh(site)
+        fresh = fresh_site(site)
         assert explore_cotree(site, top) == explore_cotree(fresh, top)
         assert _dead_objects(site) == _dead_objects(fresh)
         assert _stabilized_objects(site) == _stabilized_objects(fresh)
@@ -451,7 +446,7 @@ def _count_steps_and_cotrees(monkeypatch):
 
 
 def test_warm_separation_runs_no_chase_step(monkeypatch):
-    site = _fresh(DIAMOND_SITE)
+    site = fresh_site(DIAMOND_SITE)
     steps, trees = _count_steps_and_cotrees(monkeypatch)
     cold = separate_subobjects(site, 3, 7, 8)
     assert steps and len(trees) == 1  # the cold call ran the chase
@@ -463,7 +458,7 @@ def test_warm_separation_runs_no_chase_step(monkeypatch):
 
 
 def test_warm_cover_check_runs_no_chase_step(monkeypatch):
-    site = _fresh(DIAMOND_SITE)
+    site = fresh_site(DIAMOND_SITE)
     steps, trees = _count_steps_and_cotrees(monkeypatch)
     fam = Family.make(3, [7])
     cold = family_jointly_covers(site, fam)

@@ -1,10 +1,11 @@
 """Text-format round trips, JSON stability, and the exit-code contract."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from finsite import fixtures
+from finsite import chase, fixtures, lattice
 from finsite.cli import main
 from finsite.fincat import compose_nat, representable_presheaf
 from finsite.fileformat import (ParseError, ValidationError, parse_document,
@@ -42,6 +43,14 @@ def test_validation_error_for_missing_terminal_cover():
     with pytest.raises(ValidationError) as err:
         parse_site("object X")
     assert any("identity family" in v for v in err.value.violations)
+
+
+def test_poset_shorthand_closes_the_order_and_rejects_cycles():
+    site = parse_site("poset { a < b  b < c }\ncover c <- [id_c]\n")
+    names = {site.cat.obj_name(x): x for x in site.cat.objects}
+    assert site.cat.hom(names["a"], names["c"]) == (site.cat.mor_names.index("a_to_c"),)
+    with pytest.raises(ParseError, match="cycle through 'a'"):
+        parse_site("poset { a < b  b < c  c < a }\ncover c <- [id_c]\n")
 
 
 def test_explicit_category_with_compose_facts():
@@ -247,6 +256,32 @@ def test_lattice_embed_rejects_m3(capsys, tmp_path):
     code, out = run_cli(capsys, "lattice-embed", str(path), "--json")
     assert code == 1
     assert json.loads(out)["result"]["verdict"] == "NON_DISTRIBUTIVE"
+
+
+def test_lattice_embed_failed_verification_exits_refuted(capsys, monkeypatch):
+    """A route whose embedding fails its own check ends in exit 1 and an
+    EMBEDDING_FAILED document naming the route, not a traceback."""
+    monkeypatch.setattr(lattice.Embedding, "verify",
+                        lambda self, lat, prescribed: ["meet not preserved at (1,2)"])
+    code, out = run_cli(capsys, "lattice-embed", fixture_path("diamond.lat"), "--json")
+    assert code == 1
+    document = json.loads(out)
+    assert document["result"] == {"verdict": "EMBEDDING_FAILED", "method": "birkhoff",
+                                  "detail": "meet not preserved at (1,2)"}
+    assert document["witnesses"] == [] and document["input_digest"] is not None
+
+
+def test_lattice_embed_order_disagreement_exits_refuted(capsys, monkeypatch):
+    """model_embed's order check: a chase that finds a non-contained pair
+    contained ends in the same documented exit."""
+    monkeypatch.setattr(lattice, "separate_subobjects",
+                        lambda *args, **kwargs: SimpleNamespace(verdict=chase.CONTAINED))
+    code, out = run_cli(capsys, "lattice-embed", fixture_path("diamond.lat"),
+                        "--method", "models", "--json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "EMBEDDING_FAILED" and result["method"] == "models"
+    assert result["detail"].startswith("order disagrees with mono factorization at (")
 
 
 def test_delta_and_eta_check_subcommands(capsys):

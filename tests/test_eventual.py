@@ -5,8 +5,8 @@ import pytest
 from finsite import fixtures
 from finsite.eventual import (BoundTooSmallError, build_ctilde, delta,
                               delta_iso_check, eta_component_check)
-from finsite.fincat import (constant_singleton, covariant_representable,
-                            validate_category)
+from finsite.fincat import (COVARIANT, SetValuedFunctor, constant_singleton,
+                            covariant_representable, validate_category)
 from finsite.models import (ModelBound, delta_pairing, enumerate_lex_functors,
                             enumerate_models)
 
@@ -96,6 +96,17 @@ def test_delta_iso_check_on_all_diamond_pairs():
     for m in models:
         for n in models:
             assert delta_iso_check(m, n, others=models)
+
+
+def test_delta_iso_check_is_natural_along_a_swap():
+    """On one object, the two-point set has the swap as an automorphism:
+    precomposing with it moves the elements of ∫M out of ascending order."""
+    cat = POINT_SITE.cat
+    two = SetValuedFunctor(cat, COVARIANT, (2,), ((0, 1),))
+    one = constant_singleton(cat)
+    for m in (two, one):
+        for n in (two, one):
+            assert delta_iso_check(m, n, others=[two, one]), (m.sizes, n.sizes)
 
 
 def test_delta_iso_yoneda_case():

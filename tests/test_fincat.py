@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import fixtures
 from finsite.fincat import (UNDEFINED, FinCategory, NatTransData,
                             all_nat_transformations, check_nat, hom_set,
                             identity_nat, is_epi, is_mono, op_category,
-                            poset_category, validate_category)
+                            order_closure, poset_category, validate_category)
 from finsite.models import ModelBound, enumerate_models
 
 from helpers import fork_category, left_zero_monoid, posets
@@ -173,3 +174,22 @@ def test_op_category_involutive_and_valid():
 @given(posets(max_objects=5))
 def test_random_posets_validate(leq):
     assert validate_category(poset_category(leq)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=12 if n else 0))))
+def test_order_closure_is_reachability(case):
+    n, pairs = case
+    leq = order_closure(n, pairs)
+    for i in range(n):
+        reached, frontier = {i}, [i]
+        while frontier:
+            k = frontier.pop()
+            for a, b in pairs:
+                if a == k and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        assert leq[i] == [j in reached for j in range(n)], (pairs, i)

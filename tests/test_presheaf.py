@@ -7,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fixtures
-from finsite.fincat import (CONTRAVARIANT, SetValuedFunctor,
+from finsite.fincat import (CONTRAVARIANT, FinCategory, SetValuedFunctor,
                             all_nat_transformations, compose_nat, identity_nat,
                             poset_category, representable_presheaf,
                             validate_set_functor)
-from finsite.presheaf import (FactorizationError, SheafObject,
+from finsite.presheaf import (FactorizationError, SheafObject, _maximal,
                               cover_mono_by_representables, enumerate_presheaves,
                               extremal_epi_family_in_sh, extremal_epi_in_sh,
                               factor_through_cover, is_sheaf, matching_families,
                               plus, sheaf_for_family, sheafified_postcompose,
                               sheafify, ay)
-from finsite.site import Sieve, site_topology, tree_saturation
+from finsite.site import Family, Sieve, SiteSpec, site_topology, tree_saturation
 
-from helpers import (glue_site, nat_is_pointwise_bijective, nat_is_pointwise_injective,
-                     oracle_sites, posets, random_covers_site, slow_is_sheaf,
-                     slow_plus, slow_sieve_topology)
+from helpers import (fresh_site, glue_site, nat_is_pointwise_bijective,
+                     nat_is_pointwise_injective, oracle_sites, posets,
+                     random_covers_site, slow_is_sheaf, slow_plus, slow_sieve_topology)
 
 DIAMOND_SITE = fixtures.load_site("diamond")
 DIAMOND = DIAMOND_SITE.cat
@@ -87,8 +87,38 @@ def test_sheafify_idempotent_over_every_fixture():
 
 
 def test_sheaf_object_build_rejects_non_sheaves():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="object 3"):
         SheafObject.build(glued_presheaf(), TOPOLOGY)
+
+
+def _first_failure_on_least_sieves(p, topology):
+    """The least object x at which the comparison map from P(x) to the
+    matching families over J₀(x) is not a bijection, by a direct scan."""
+    for x in p.cat.objects:
+        arrows, fams = matching_families(p, topology.least[x])
+        images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(x)}
+        if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
+            return x
+    return None
+
+
+def test_sheaf_object_build_matches_the_covering_sieve_oracle():
+    """build accepts exactly the sheaves, names the least object whose J₀
+    fails, and certifies every covering sieve."""
+    for name, site in oracle_sites(fixtures.all_sites()).items():
+        fast, slow = site_topology(site), slow_sieve_topology(site)
+        cat = site.cat
+        bound = 1 if cat.n_objects > 6 else 2  # glue_site, bool_3, grid_3x4
+        for p in enumerate_presheaves(cat, bound):
+            failing = _first_failure_on_least_sieves(p, fast)
+            assert (failing is None) == slow_is_sheaf(p, slow), (name, p)
+            if failing is not None:
+                with pytest.raises(ValueError, match=f"object {failing}$"):
+                    SheafObject.build(p, fast)
+            else:
+                sheaf = SheafObject.build(p, fast)
+                assert sheaf.certified_sieves == sum(
+                    len(slow.covering_sieves(x)) for x in cat.objects), (name, p)
 
 
 def test_two_point_discrepancy_presheaf_is_not_a_sheaf():
@@ -121,6 +151,70 @@ def test_ay_on_empty_covered_object_is_initial():
     initial = sheafify(empty_presheaf(EMPTY_SITE.cat),
                        site_topology(EMPTY_SITE)).sheaf.presheaf
     assert ay(EMPTY_SITE, 0).sheaf.presheaf == initial
+
+
+def test_sheafified_representables_belong_to_the_site_not_the_category():
+    names = {DIAMOND.obj_name(x): x for x in DIAMOND.objects}
+    top, a, b = names["1"], names["a"], names["b"]
+    other = SiteSpec.make(DIAMOND, [Family.make(top, [DIAMOND.identity[top]]),
+                                    Family.make(a, [])])
+    assert other.cat is DIAMOND_SITE.cat
+    b_to_top = DIAMOND.hom(b, top)[0]
+    # the two sites differ here, so a table shared through the category would
+    # be wrong for one of them
+    assert ay(DIAMOND_SITE, b) != ay(other, b)
+    assert sheafified_postcompose(DIAMOND_SITE, b_to_top) \
+        != sheafified_postcompose(other, b_to_top)
+    for site in (DIAMOND_SITE, other, DIAMOND_SITE):
+        fresh = fresh_site(site)
+        for x in DIAMOND.objects:
+            assert ay(site, x) == ay(fresh, x)
+        for g in DIAMOND.morphisms:
+            assert sheafified_postcompose(site, g) == sheafified_postcompose(fresh, g)
+
+
+def test_plus_is_kept_on_its_topology():
+    p = glued_presheaf()
+    topology = site_topology(fresh_site(DIAMOND_SITE))
+    assert plus(p, topology) is plus(p, topology)
+    assert plus(p, topology) == plus(p, TOPOLOGY)
+    assert plus(p, topology) is not plus(p, TOPOLOGY)
+
+
+def test_maximal_keeps_the_first_of_each_mutual_class():
+    # preorder: 0 <= everything; 1 and 2 above each other; 3 apart; 4 <= 3
+    above = {0: {0, 1, 2, 3, 4}, 1: {1, 2}, 2: {1, 2}, 3: {3}, 4: {3, 4}}
+    assert _maximal([0, 1, 2, 3, 4], above) == [1, 3]
+    assert _maximal([2, 1, 0, 4, 3], above) == [2, 3]
+
+
+def test_warm_sheafified_representables_hash_no_site(monkeypatch):
+    site = fresh_site(DIAMOND_SITE)
+
+    def lookups():
+        for x in site.cat.objects:
+            ay(site, x)
+        for g in site.cat.morphisms:
+            sheafified_postcompose(site, g)
+
+    lookups()
+    calls = []
+
+    def counting(cls):
+        original = cls.__hash__
+
+        def wrapper(self):
+            calls.append(cls.__name__)
+            return original(self)
+        return wrapper
+
+    for cls in (SiteSpec, FinCategory):
+        monkeypatch.setattr(cls, "__hash__", counting(cls))
+    hash(site)
+    assert calls == ["SiteSpec", "FinCategory"]  # the wrappers are live
+    calls.clear()
+    lookups()
+    assert calls == []
 
 
 def test_matching_families_over_empty_sieve_is_a_point():
