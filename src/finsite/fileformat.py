@@ -51,13 +51,13 @@ def _logical_lines(text: str):
     start = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = _strip_comment(raw).strip()
-        if not body:
-            continue
-        if buffer:
+        if buffer:  # blank lines stay, so a block keeps its line offsets
             buffer += "\n" + body
             if "}" in body:
                 lines.append((start, buffer))
                 buffer = ""
+            continue
+        if not body:
             continue
         if "{" in body and "}" not in body:
             buffer = body
@@ -72,10 +72,10 @@ def _logical_lines(text: str):
 @dataclass
 class _SiteBuilder:
     objects: list
-    arrows: list          # (name, dom name, cod name)
-    composites: list      # (g name, f name, h name)
-    covers: list          # (cod name, [leg names])
-    poset_relations: list
+    arrows: list          # (name, dom name, cod name, line)
+    composites: list      # (g name, f name, h name, line)
+    covers: list          # (cod name, [leg names], line)
+    poset_relations: list  # (lower name, upper name, line)
 
 
 def parse_document(text: str):
@@ -109,20 +109,22 @@ def _parse_site_lines(lines) -> SiteSpec:
                 rf"arrow\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})", body)
             if not m:
                 raise ParseError(lineno, 1, "expected: arrow NAME : A -> B")
-            builder.arrows.append((m.group(1), m.group(2), m.group(3)))
+            builder.arrows.append((m.group(1), m.group(2), m.group(3), lineno))
         elif body.startswith("compose "):
             m = re.fullmatch(
                 rf"compose\s+({_NAME})\s*\.\s*({_NAME})\s*=\s*({_NAME})", body)
             if not m:
                 raise ParseError(lineno, 1, "expected: compose G . F = H")
-            builder.composites.append((m.group(1), m.group(2), m.group(3)))
+            builder.composites.append((m.group(1), m.group(2), m.group(3), lineno))
         elif body.startswith("poset"):
             m = re.fullmatch(r"poset\s*\{(.*)\}", body, re.DOTALL)
             if not m:
                 raise ParseError(lineno, 1, "expected: poset { A < B ... }")
-            chunk = m.group(1).replace(";", " ").replace("\n", " ")
+            block = m.group(1)  # its newlines give each relation its line
+            chunk = block.replace(";", " ").replace("\n", " ")
             for rel in re.finditer(rf"({_NAME})\s*<\s*({_NAME})", chunk):
-                builder.poset_relations.append((rel.group(1), rel.group(2)))
+                line = lineno + block.count("\n", 0, rel.start())
+                builder.poset_relations.append((rel.group(1), rel.group(2), line))
             leftovers = re.sub(rf"({_NAME})\s*<\s*({_NAME})", "", chunk).strip()
             if leftovers:
                 raise ParseError(lineno, 1, f"unrecognized poset content {leftovers!r}")
@@ -139,48 +141,51 @@ def _parse_site_lines(lines) -> SiteSpec:
 
 
 def _assemble_site(builder: _SiteBuilder) -> SiteSpec:
-    if builder.poset_relations and builder.arrows:
-        raise ParseError(1, 1, "cannot mix poset shorthand with explicit arrows")
+    if builder.poset_relations and builder.arrows:  # at the later of the two kinds
+        line = max(builder.poset_relations[0][2], builder.arrows[0][3])
+        raise ParseError(line, 1, "cannot mix poset shorthand with explicit arrows")
     if builder.poset_relations:
         names = list(builder.objects)
-        for a, b in builder.poset_relations:
+        for a, b, _ in builder.poset_relations:
             for name in (a, b):
                 if name not in names:
                     names.append(name)
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
-        leq = order_closure(n, [(index[a], index[b]) for a, b in builder.poset_relations])
+        leq = order_closure(n, [(index[a], index[b]) for a, b, _ in builder.poset_relations])
         for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise ParseError(1, 1, f"poset relation has a cycle through {names[i]!r}")
+            cycle = {j for j in range(n) if leq[i][j] and leq[j][i]}
+            if len(cycle) > 1:  # reported at the last relation inside it
+                line = max(line for a, b, line in builder.poset_relations
+                           if a != b and {index[a], index[b]} <= cycle)
+                raise ParseError(line, 1, f"poset relation has a cycle through {names[i]!r}")
         cat = poset_category(leq, tuple(names))
     else:
         index = {name: i for i, name in enumerate(builder.objects)}
         arrow_ids = {}
-        for name, _, _ in builder.arrows:
+        for name, _, _, lineno in builder.arrows:
             if name in arrow_ids or name in index:
-                raise ParseError(1, 1, f"duplicate arrow name {name!r}")
+                raise ParseError(lineno, 1, f"duplicate arrow name {name!r}")
             arrow_ids[name] = len(builder.objects) + len(arrow_ids)
         for obj in builder.objects:
             arrow_ids[f"id_{obj}"] = index[obj]
 
-        def mor_id(name, lineno=1):
+        def mor_id(name, lineno):
             if name not in arrow_ids:
                 raise ParseError(lineno, 1, f"unknown morphism {name!r}")
             return arrow_ids[name]
 
         arrow_pairs = []
-        for name, dom, cod in builder.arrows:
+        for name, dom, cod, lineno in builder.arrows:
             if dom not in index or cod not in index:
-                raise ParseError(1, 1, f"arrow {name!r} has a dangling endpoint")
+                raise ParseError(lineno, 1, f"arrow {name!r} has a dangling endpoint")
             arrow_pairs.append((index[dom], index[cod]))
         composites = {}
-        for g, f, h in builder.composites:
-            composites[(mor_id(g), mor_id(f))] = mor_id(h)
+        for g, f, h, lineno in builder.composites:
+            composites[(mor_id(g, lineno), mor_id(f, lineno))] = mor_id(h, lineno)
         cat = make_category(len(builder.objects), arrow_pairs, composites,
                             tuple(builder.objects),
-                            tuple(name for name, _, _ in builder.arrows))
+                            tuple(name for name, _, _, _ in builder.arrows))
     name_to_obj = {cat.obj_name(x): x for x in cat.objects}
     name_to_mor = {cat.mor_name(f): f for f in cat.morphisms}
     covers = []

@@ -51,18 +51,22 @@ class FinCategory:
     def morphisms(self) -> range:
         return range(self.n_morphisms)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The field hash, taken once: it walks the whole comp table, and
+        every lookup keyed by a category or a functor on it asks for it.
+        Equality stays structural."""
+        return hash((self.dom, self.cod, self.identity, self.comp,
+                     self.obj_names, self.mor_names))
+
     def obj_name(self, x: int) -> str:
         return self.obj_names[x] if self.obj_names else str(x)
 
     def mor_name(self, f: int) -> str:
         return self.mor_names[f] if self.mor_names else str(f)
-
-    def compose(self, g: int, f: int) -> int:
-        """g∘f; raises on non-composable pairs."""
-        h = self.comp[g][f]
-        if h == UNDEFINED:
-            raise ValueError(f"morphisms not composable: {g}∘{f}")
-        return h
 
     def hom(self, x: int, y: int) -> tuple[int, ...]:
         return self._hom_table[x][y]
@@ -323,12 +327,6 @@ class FunctorData:
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
 
-    def apply_obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def apply_mor(self, f: int) -> int:
-        return self.mor_map[f]
-
 
 def validate_functor(fun: FunctorData) -> list[str]:
     report = []
@@ -379,13 +377,6 @@ class SetValuedFunctor:
 
     def target_obj(self, f: int) -> int:
         return self.cat.cod[f] if self.variance == COVARIANT else self.cat.dom[f]
-
-    def apply(self, f: int, element: int) -> int:
-        return self.action[f][element]
-
-    @property
-    def total_size(self) -> int:
-        return sum(self.sizes)
 
 
 def validate_set_functor(fn: SetValuedFunctor) -> list[str]:
@@ -458,9 +449,6 @@ class NatTransData:
     source: SetValuedFunctor
     target: SetValuedFunctor
     components: tuple[tuple[int, ...], ...]  # per object, element -> element
-
-    def at(self, x: int, element: int) -> int:
-        return self.components[x][element]
 
 
 def check_nat(alpha: NatTransData) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .fileformat import parse_document, parse_site
+from .fileformat import parse_site
 from .site import SiteSpec
 
 SITE_NAMES = ("point", "arrow", "diamond", "chain3", "wide5", "diamond_empty")
@@ -21,10 +21,6 @@ def fixture_text(name: str) -> str:
 
 def load_site(name: str) -> SiteSpec:
     return parse_site(fixture_text(name))
-
-
-def load_lattice(name: str):
-    return parse_document(fixture_text(name))
 
 
 def all_sites() -> dict[str, SiteSpec]:

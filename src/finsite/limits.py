@@ -181,12 +181,6 @@ class SubobjectLattice:
     order: tuple[tuple[bool, ...], ...]
     classes: tuple[frozenset[int], ...]
 
-    def index_of(self, mono: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if mono in cls:
-                return i
-        raise ValueError(f"{mono} is not a mono into object {self.object}")
-
     @property
     def top(self) -> int:
         return next(i for i, row in enumerate(self.order)

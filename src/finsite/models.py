@@ -31,11 +31,6 @@ class Model:
     is_lex: bool
     preserves_covers: bool
 
-    @staticmethod
-    def analyze(site: SiteSpec, functor: SetValuedFunctor) -> "Model":
-        return Model(functor, is_lex(site.cat, functor),
-                     preserves_covers(functor, site))
-
 
 def _lex_probes(cat: FinCategory):
     """Terminal object plus one canonical pullback square per cospan.
@@ -177,39 +172,108 @@ def enumerate_set_functors(cat: FinCategory, bound: int, prune=None, squares=())
         yield from assign(0)
 
 
-def enumerate_models(site: SiteSpec, bound: ModelBound) -> list[Model]:
-    """All lex cover-preserving functors with carriers <= B, up to table
-    equality, lexicographically.  Terminal preservation prunes the size
-    search, the pullback squares are checked during it, and each survivor
-    is confirmed by ``is_lex``."""
-    cat = site.cat
+def _thin_functors(cat: FinCategory, terminal: int, squares, skip=()):
+    """The lex functors of a thin category with a terminal object, in the
+    order ``enumerate_set_functors`` gives them.
+
+    Here every lex functor has carriers of size at most one: the pullback
+    of x -> T <- x has equal legs, so F(x) ≅ F(x) × F(x).  A functor with
+    such carriers is its support U, and it is lex iff U is an up-set that
+    contains T and the apex of every square whose two leg domains lie in U.
+    Those sets are the closed sets of the closure below, found by
+    NextClosure (Ganter, "Two basic algorithms in concept analysis", 1984)
+    in lectic order.  A set is an int with object x at bit
+    n-1-x, so lectic order is integer order, which is the enumerator's
+    size-vector order.  Closed sets that meet ``skip`` are left out.
+    """
+    n = cat.n_objects
+
+    def bit(x):
+        return 1 << (n - 1 - x)
+
+    avoid = sum(bit(x) for x in set(skip))
+    up = [0] * n
+    for f in cat.morphisms:
+        up[cat.dom[f]] |= bit(cat.cod[f])
+    needs = {}  # two leg domains -> the up-set of their apex
+    for f, g, square in squares:
+        a, b, apex = cat.dom[f], cat.dom[g], up[square.apex]
+        if apex != up[a] and apex != up[b]:  # else the up-closure adds it
+            needs[bit(a) | bit(b)] = apex
+    needs = list(needs.items())
+
+    def closure(s):
+        closed = up[terminal]
+        for x in cat.objects:
+            if s & bit(x):
+                closed |= up[x]
+        grown = True
+        while grown:
+            grown = False
+            for legs, apex in needs:
+                if closed & legs == legs and closed & apex != apex:
+                    closed |= apex
+                    grown = True
+        return closed
+
+    current = closure(0)
+    while True:
+        if not current & avoid:
+            sizes = tuple(current >> (n - 1 - x) & 1 for x in cat.objects)
+            yield SetValuedFunctor(cat, COVARIANT, sizes, tuple(
+                tuple(range(sizes[cat.dom[f]])) for f in cat.morphisms))
+        for i in range(n):  # the least significant missing bit first
+            b = 1 << i
+            if current & b:
+                continue
+            high = current & ~(2 * b - 1)  # the members more significant than b
+            nxt = closure(high | b)
+            if nxt & ~(2 * b - 1) == high:
+                current = nxt
+                break
+        else:
+            return
+
+
+def _lex_candidates(cat: FinCategory, bound: int, skip=()):
+    """Functors with carriers <= bound that send the terminal object to a
+    point and every ``_lex_probes`` square to a set-level pullback, with
+    the objects in ``skip`` sent to the empty set, in the enumerator's
+    order.  A thin category takes ``_thin_functors``, any other the
+    backtracking search."""
     terminal, squares = _lex_probes(cat)
-    if terminal is None:
-        return []
+    if terminal is None or bound < 1:
+        return iter(())
+    if all(count <= 1 for column in cat._hom_counts for count in column):
+        return _thin_functors(cat, terminal, squares, skip)
 
     def prune(sizes):
-        if sizes[terminal] != 1:
-            return False
-        for fam in site.covers:  # empty covers force empty carriers
-            if not fam.legs and sizes[fam.codomain] != 0:
-                return False
-        return True
+        return sizes[terminal] == 1 and all(sizes[x] == 0 for x in skip)
+    return enumerate_set_functors(cat, bound, prune, squares)
 
-    out = []
-    for functor in enumerate_set_functors(cat, bound.max_carrier, prune, squares):
-        if is_lex(cat, functor) and preserves_covers(functor, site):
-            out.append(Model(functor, True, True))
-    return out
+
+def enumerate_models(site: SiteSpec, bound: ModelBound) -> list[Model]:
+    """All lex cover-preserving functors with carriers <= B, up to table
+    equality, lexicographically.
+
+    A thin category with a terminal object takes its closed up-sets from
+    ``_thin_functors``; any other category the backtracking search, with
+    terminal preservation pruning the sizes and the pullback squares
+    checked during it.  Either way an empty cover forces an empty carrier,
+    and each candidate is confirmed by ``is_lex`` and ``preserves_covers``."""
+    empty = [fam.codomain for fam in site.covers if not fam.legs]
+    return [Model(functor, True, True)
+            for functor in _lex_candidates(site.cat, bound.max_carrier, empty)
+            if is_lex(site.cat, functor) and preserves_covers(functor, site)]
 
 
 def enumerate_lex_functors(cat: FinCategory, bound: int) -> list[SetValuedFunctor]:
-    """Lex functors with carriers <= B, no cover condition (feeds C-tilde)."""
-    terminal, squares = _lex_probes(cat)
-    if terminal is None:
-        return []
-    return [fn for fn in enumerate_set_functors(
-                cat, bound, lambda sizes: sizes[terminal] == 1, squares)
-            if is_lex(cat, fn)]
+    """Lex functors with carriers <= B, no cover condition (feeds C-tilde).
+
+    Same candidates as ``enumerate_models`` (closed up-sets on a thin
+    category with a terminal object, the backtracking search otherwise),
+    each confirmed by ``is_lex``; [] when B < 1."""
+    return [fn for fn in _lex_candidates(cat, bound) if is_lex(cat, fn)]
 
 
 def elements_category(m: SetValuedFunctor):

@@ -49,9 +49,6 @@ class SiteSpec:
     def make(cat, covers) -> "SiteSpec":
         return SiteSpec(cat, tuple(sorted(set(covers), key=Family.sort_key)))
 
-    def covers_on(self, y: int):
-        return [fam for fam in self.covers if fam.codomain == y]
-
     @cached_property
     def _table(self) -> dict:
         """Per-site derived data, filled on first use: the chase's task

@@ -398,6 +398,8 @@ def slow_enumerate_functors(cat: FinCategory, bound: int):
         for f in cat.morphisms:
             src, tgt = sizes[cat.dom[f]], sizes[cat.cod[f]]
             tables.append(list(itertools.product(range(tgt), repeat=src)))
+            if not tables[-1]:
+                break  # no function into the empty set: no functor has these sizes
         for action in itertools.product(*tables):
             fn = SetValuedFunctor(cat, COVARIANT, sizes, action)
             if not validate_set_functor(fn):

@@ -53,6 +53,44 @@ def test_poset_shorthand_closes_the_order_and_rejects_cycles():
         parse_site("poset { a < b  b < c  c < a }\ncover c <- [id_c]\n")
 
 
+def _parse_error_line(text):
+    with pytest.raises(ParseError) as err:
+        parse_site(text)
+    assert err.value.column == 1
+    return err.value.line
+
+
+def test_mixing_poset_and_arrows_is_reported_at_the_later_kind():
+    assert _parse_error_line(
+        "object x\nobject y\nposet { x < y }\narrow f : x -> y\n") == 4
+    assert _parse_error_line(
+        "object x\nobject y\narrow f : x -> y\n\nposet {\n  x < y\n}\n") == 6
+
+
+def test_poset_cycle_is_reported_at_the_relation_that_closes_it():
+    assert _parse_error_line(
+        "# a chain\nposet { a < b }\nposet { b < c }\nposet { c < a }\n") == 4
+    assert _parse_error_line(  # inside a block, blank and comment lines count
+        "poset {\n  a < b\n\n  # then\n  b < a\n  b < c\n}\n") == 5
+
+
+def test_duplicate_arrow_name_is_reported_at_the_second_arrow():
+    assert _parse_error_line(
+        "object x\nobject y\narrow f : x -> y\n\narrow f : y -> x\n") == 5
+    assert _parse_error_line("object x\nobject f\narrow f : x -> x\n") == 3
+
+
+def test_dangling_arrow_endpoint_is_reported_at_its_arrow():
+    assert _parse_error_line(
+        "object x\narrow f : x -> x\narrow g : x -> y\ncover x <- [id_x]\n") == 3
+
+
+def test_unknown_morphism_in_compose_is_reported_at_its_line():
+    text = ("object x\narrow f : x -> x\ncompose f . f = f\n"
+            "compose f . g = f\ncover x <- [id_x]\n")
+    assert _parse_error_line(text) == 4
+
+
 def test_explicit_category_with_compose_facts():
     text = """
 object x

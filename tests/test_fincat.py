@@ -1,5 +1,6 @@
 """Category-kernel laws: validation, hom partitions, mono/epi, naturality."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -193,3 +194,15 @@ def test_order_closure_is_reachability(case):
                     reached.add(b)
                     frontier.append(b)
         assert leq[i] == [j in reached for j in range(n)], (pairs, i)
+
+
+def test_category_hash_is_taken_once_and_equality_stays_structural():
+    cat = poset_category([[a & b == a for b in range(8)] for a in range(8)])
+    twin = dataclasses.replace(cat)
+    assert "_hash" not in vars(cat)
+    assert hash(cat) == hash(twin) == hash(
+        (cat.dom, cat.cod, cat.identity, cat.comp, cat.obj_names, cat.mor_names))
+    vars(cat)["_hash"] = 12345  # a second hash reads the stored value
+    assert hash(cat) == 12345
+    assert cat == twin and hash(twin) != 12345
+    assert cat != dataclasses.replace(cat, obj_names=tuple("abcdefgh"))

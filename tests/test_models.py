@@ -4,8 +4,9 @@ the lex hull, and the Kan-extension point functor."""
 import itertools
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finsite import fixtures
+from finsite import fixtures, models
 from finsite.fincat import (COVARIANT, SetValuedFunctor,
                             all_nat_transformations, poset_category,
                             validate_set_functor)
@@ -19,10 +20,11 @@ from finsite.limits import pullback
 from finsite.presheaf import ay
 from finsite.site import Family, SiteSpec
 
-from helpers import (cospan_only_category, discrete2_category, fork_category,
+from helpers import (boolean_leq, cospan_only_category, discrete2_category,
+                     fork_category, grid_leq, involution_category,
                      iso_pair_category, left_zero_monoid, poset_site, posets,
-                     slow_is_lex, slow_models, slow_preserves_covers,
-                     slow_enumerate_functors)
+                     random_covers_site, slow_is_lex, slow_models,
+                     slow_preserves_covers, slow_enumerate_functors)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -238,7 +240,7 @@ def _assert_agrees_with_oracles(site, bound):
         assert [fn for fn in enumerate_set_functors(cat, bound, squares=squares)
                 if fn.sizes[terminal] == 1] == slow_lex
     assert [m.functor for m in enumerate_models(site, ModelBound(bound))] \
-        == slow_models(site, bound)
+        == [fn for fn in slow_lex if slow_preserves_covers(fn, site)]  # as slow_models
 
 
 def test_enumerators_match_oracles_in_order_on_small_categories():
@@ -282,3 +284,120 @@ def test_size_search_meets_only_the_up_sets():
                if all(sizes[b] for a in elements for b in elements
                       if sizes[a] and a & b == a)]
     assert seen == up_sets and len(seen) == 168
+
+
+def _general_path(site, bound):
+    """Lex functors and models from the backtracking search alone, as
+    ``enumerate_lex_functors`` and ``enumerate_models`` find them on a
+    category that is not thin."""
+    cat = site.cat
+    terminal, squares = _lex_probes(cat)
+    empty = [fam.codomain for fam in site.covers if not fam.legs]
+    lex = [fn for fn in enumerate_set_functors(
+               cat, bound, lambda sizes: sizes[terminal] == 1, squares)
+           if is_lex(cat, fn)]
+    return lex, [fn for fn in lex if all(fn.sizes[x] == 0 for x in empty)
+                 and preserves_covers(fn, site)]
+
+
+def _assert_thin_path_agrees(site, bound):
+    """The thin path gives the general search's lists, order included."""
+    lex, models = _general_path(site, bound)
+    assert enumerate_lex_functors(site.cat, bound) == lex
+    assert [m.functor for m in enumerate_models(site, ModelBound(bound))] == models
+
+
+def _punctured_boolean_leq(k):
+    """The nonempty subsets of k points: disjoint pairs have no meet."""
+    elements = range(1, 2 ** k)
+    return [[a & b == a for b in elements] for a in elements]
+
+
+def test_thin_path_matches_oracles_on_ladder_sites():
+    for leq in (boolean_leq(4), _punctured_boolean_leq(4), grid_leq(3, 4)):
+        _assert_agrees_with_oracles(poset_site(leq), 1)
+
+
+def test_thin_path_matches_the_general_search_at_bound_two():
+    for leq in (boolean_leq(3), _punctured_boolean_leq(3), grid_leq(2, 3),
+                boolean_leq(4), _punctured_boolean_leq(4)):
+        _assert_thin_path_agrees(poset_site(leq), 2)
+
+
+def test_thin_path_matches_oracles_on_random_covers_over_bool_3():
+    cat = poset_category(boolean_leq(3))
+    sites = [random_covers_site(cat, seed) for seed in range(12)]
+    assert any(not fam.legs for site in sites for fam in site.covers)
+    for site in sites:
+        _assert_agrees_with_oracles(site, 1)
+        _assert_thin_path_agrees(site, 2)
+        for model in enumerate_models(site, ModelBound(1)):  # empty covers stay empty
+            assert all(model.functor.sizes[fam.codomain] == 0
+                       for fam in site.covers if not fam.legs)
+
+
+def _with_top(leq):
+    """The poset with a new greatest element appended."""
+    return [row + [True] for row in leq] + [[False] * len(leq) + [True]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets(max_objects=5), st.integers(min_value=0, max_value=2 ** 16))
+def test_thin_path_matches_oracles_on_random_covers_over_random_posets(leq, seed):
+    site = random_covers_site(poset_category(_with_top(leq)), seed)
+    _assert_agrees_with_oracles(site, 1)
+    _assert_thin_path_agrees(site, 2)
+
+
+def test_thin_path_is_taken_exactly_on_thin_categories_with_a_terminal(monkeypatch):
+    calls = []
+
+    def sentinel(name):
+        search = getattr(models, name)
+
+        def recording(cat, *args, **kwargs):
+            calls.append(name)
+            return search(cat, *args, **kwargs)
+        monkeypatch.setattr(models, name, recording)
+
+    sentinel("enumerate_set_functors")
+    sentinel("_thin_functors")
+
+    def paths(make):
+        site = _site_on(make())
+        calls.clear()
+        enumerate_models(site, ModelBound(2))
+        enumerate_lex_functors(site.cat, 2)
+        return calls[:]
+
+    general = ["enumerate_set_functors"] * 2
+    assert paths(fork_category) == general
+    assert paths(involution_category) == general
+    assert paths(left_zero_monoid) == []  # no terminal object: no lex functor
+    # x ≅ y under T has one arrow per hom set: it is thin, with a terminal object
+    assert paths(iso_pair_category) == ["_thin_functors"] * 2
+    assert paths(lambda: DIAMOND) == ["_thin_functors"] * 2
+    monkeypatch.undo()
+    for bound in (1, 2, 3):
+        _assert_thin_path_agrees(_site_on(iso_pair_category()), bound)
+
+
+def test_lex_functors_at_bound_zero_are_none():
+    for cat in (DIAMOND, iso_pair_category(), fork_category(), involution_category()):
+        assert enumerate_lex_functors(cat, 0) == []
+
+
+def test_five_point_boolean_sites_have_six_models_and_32_lex_functors():
+    """Both have a terminal object and 32 (resp. 31) principal up-sets; the
+    general search is too slow to be their oracle."""
+    for leq in (boolean_leq(5), _punctured_boolean_leq(5)):
+        site = poset_site(leq)
+        found = enumerate_models(site, ModelBound(1))
+        lex = enumerate_lex_functors(site.cat, 1)
+        assert len(found) == 6 and len(lex) == 32
+        assert all(is_lex(site.cat, fn) for fn in lex)
+        assert all(max(fn.sizes) <= 1 for fn in lex)
+        assert [m.functor for m in found] \
+            == [fn for fn in lex if preserves_covers(fn, site)]
+        assert lex == sorted(lex, key=lambda fn: fn.sizes)
+
