@@ -179,7 +179,6 @@ class SubobjectLattice:
     object: int
     representatives: tuple[int, ...]
     order: tuple[tuple[bool, ...], ...]
-    classes: tuple[frozenset[int], ...]
 
     @property
     def top(self) -> int:
@@ -203,7 +202,7 @@ def subobject_lattice(cat: FinCategory, x: int) -> SubobjectLattice:
     order = tuple(
         tuple(reps[j] in below[reps[i]] for j in range(len(reps)))
         for i in range(len(reps)))
-    return SubobjectLattice(x, reps, order, tuple(classes))
+    return SubobjectLattice(x, reps, order)
 
 
 def is_extremal_epi_family(cat: FinCategory, y: int, legs) -> bool:
