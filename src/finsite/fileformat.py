@@ -37,6 +37,24 @@ class ValidationError(Exception):
 
 
 _NAME = r"[A-Za-z0-9_★∅]+"
+_RELATION = re.compile(rf"({_NAME})\s*<\s*({_NAME})")
+
+
+def _relations(lines):
+    """The ``A < B`` relations in ``lines``, (physical line, text) pairs read
+    as one space-joined chunk, as [(A, B, line)]; and the line where other
+    content starts with the text of all of it, or None."""
+    block = "\n".join(text for _, text in lines)
+    chunk = block.replace("\n", " ")
+
+    def line_at(pos):
+        return lines[block.count("\n", 0, pos)][0]
+    relations = [(rel.group(1), rel.group(2), line_at(rel.start()))
+                 for rel in _RELATION.finditer(chunk)]
+    stray = re.search(r"\S", _RELATION.sub(lambda rel: " " * len(rel.group(0)), chunk))
+    if stray is None:
+        return relations, None
+    return relations, (line_at(stray.start()), _RELATION.sub("", chunk).strip())
 
 
 def _strip_comment(line: str) -> str:
@@ -120,14 +138,13 @@ def _parse_site_lines(lines) -> SiteSpec:
             m = re.fullmatch(r"poset\s*\{(.*)\}", body, re.DOTALL)
             if not m:
                 raise ParseError(lineno, 1, "expected: poset { A < B ... }")
-            block = m.group(1)  # its newlines give each relation its line
-            chunk = block.replace(";", " ").replace("\n", " ")
-            for rel in re.finditer(rf"({_NAME})\s*<\s*({_NAME})", chunk):
-                line = lineno + block.count("\n", 0, rel.start())
-                builder.poset_relations.append((rel.group(1), rel.group(2), line))
-            leftovers = re.sub(rf"({_NAME})\s*<\s*({_NAME})", "", chunk).strip()
-            if leftovers:
-                raise ParseError(lineno, 1, f"unrecognized poset content {leftovers!r}")
+            relations, leftover = _relations(  # the block's k-th line is lineno + k
+                [(lineno + k, text.replace(";", " "))
+                 for k, text in enumerate(m.group(1).split("\n"))])
+            builder.poset_relations.extend(relations)
+            if leftover:
+                raise ParseError(leftover[0], 1,
+                                 f"unrecognized poset content {leftover[1]!r}")
         elif body.startswith("cover "):
             m = re.fullmatch(
                 rf"cover\s+({_NAME})\s*<-\s*\[([^\]]*)\]", body)
@@ -233,47 +250,47 @@ def _parse_lattice_block(lineno: int, body: str):
     m = re.fullmatch(r"lattice\s*\{(.*)\}", body, re.DOTALL)
     if not m:
         raise ParseError(lineno, 1, "expected: lattice { ... }")
-    element_lines = []
-    relation_chunks = []
+    element_lines = []  # each (physical line, text); the block's k-th line is lineno + k
+    relation_lines = []
     join_lines = []
-    for line in m.group(1).splitlines():
+    for k, line in enumerate(m.group(1).splitlines()):
         line = line.strip()
         if not line:
             continue
         if line.startswith("elements"):
-            element_lines.append(line)
+            element_lines.append((lineno + k, line))
         elif line.startswith("join"):
-            join_lines.append(line)
+            join_lines.append((lineno + k, line))
         else:
-            relation_chunks.append(line)
+            relation_lines.append((lineno + k, line))
     if len(element_lines) != 1:
-        raise ParseError(lineno, 1, "lattice block needs one elements: list")
-    em = re.fullmatch(rf"elements\s*:\s*((?:{_NAME}\s*)+)", element_lines[0])
+        at = element_lines[1][0] if element_lines else lineno
+        raise ParseError(at, 1, "lattice block needs one elements: list")
+    at, line = element_lines[0]
+    em = re.fullmatch(rf"elements\s*:\s*((?:{_NAME}\s*)+)", line)
     if not em:
-        raise ParseError(lineno, 1, "bad elements: list")
+        raise ParseError(at, 1, "bad elements: list")
     names = em.group(1).split()
     index = {name: i for i, name in enumerate(names)}
     prescribed = []
-    for line in join_lines:
+    for at, line in join_lines:
         jm = re.fullmatch(rf"join\s+({_NAME})\s*<-\s*\[([^\]]*)\]", line)
         if not jm:
-            raise ParseError(lineno, 1, "expected: join J <- [A, B, ...]")
+            raise ParseError(at, 1, "expected: join J <- [A, B, ...]")
         target = jm.group(1)
         members = [s.strip() for s in jm.group(2).split(",") if s.strip()]
         for name in [target] + members:
             if name not in index:
-                raise ParseError(lineno, 1, f"unknown lattice element {name!r}")
+                raise ParseError(at, 1, f"unknown lattice element {name!r}")
         prescribed.append((index[target], tuple(index[name] for name in members)))
     relation = []
-    chunk = " ".join(relation_chunks)
-    for rel in re.finditer(rf"({_NAME})\s*<\s*({_NAME})", chunk):
-        a, b = rel.group(1), rel.group(2)
+    relations, leftover = _relations(relation_lines)
+    for a, b, at in relations:
         if a not in index or b not in index:
-            raise ParseError(lineno, 1, f"unknown lattice element in {a!r} < {b!r}")
+            raise ParseError(at, 1, f"unknown lattice element in {a!r} < {b!r}")
         relation.append((index[a], index[b]))
-    leftovers = re.sub(rf"({_NAME})\s*<\s*({_NAME})", "", chunk).strip()
-    if leftovers:
-        raise ParseError(lineno, 1, f"unrecognized lattice content {leftovers!r}")
+    if leftover:
+        raise ParseError(leftover[0], 1, f"unrecognized lattice content {leftover[1]!r}")
     leq = order_closure(len(names), relation)
     lat = FinLattice(tuple(tuple(row) for row in leq), tuple(names))
     from .lattice import validate_lattice

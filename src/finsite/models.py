@@ -11,8 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import limits
-from .fincat import (COVARIANT, FinCategory, NatTransData, SetValuedFunctor,
-                     all_nat_transformations)
+from .fincat import COVARIANT, FinCategory, NatTransData, SetValuedFunctor
 from .site import SiteSpec
 
 
@@ -304,25 +303,6 @@ def nat_via_limit(m: SetValuedFunctor, n: SetValuedFunctor) -> list[tuple[int, .
         if ok:
             out.append(values)
     return out
-
-
-def delta_pairing(m: SetValuedFunctor, n: SetValuedFunctor):
-    """The canonical map Nat(M,N) -> lim_{∫M} N, alpha |-> (alpha_x(p)).
-
-    Returns (nats, families, pairing) where pairing[i] is the family index
-    of the i-th transformation, or None when some image is not a family.
-    """
-    nats = list(all_nat_transformations(m, n))
-    families = nat_via_limit(m, n)
-    index = {fam: k for k, fam in enumerate(families)}
-    elems = elements_category(m)
-    pairing = []
-    for alpha in nats:
-        fam = tuple(alpha.components[x][p] for x, p in elems)
-        if fam not in index:
-            return nats, families, None
-        pairing.append(index[fam])
-    return nats, families, pairing
 
 
 def lex_hull(site: SiteSpec, m: SetValuedFunctor, seed) -> tuple[tuple[int, ...], ...]:

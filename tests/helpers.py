@@ -74,6 +74,13 @@ def involution_category() -> FinCategory:
                          ("x", "T"), ("s", "t"))
 
 
+def top_covered_site(cat: FinCategory, top: str) -> SiteSpec:
+    """``cat`` as a site whose one cover is the identity of the object named
+    ``top``."""
+    x = next(x for x in cat.objects if cat.obj_name(x) == top)
+    return SiteSpec.make(cat, [Family.make(x, [cat.identity[x]])])
+
+
 def product_category(c: FinCategory, d: FinCategory) -> FinCategory:
     """C × D, objects and morphisms numbered pairwise in lexicographic order."""
     nd = d.n_morphisms

@@ -1,12 +1,15 @@
-"""Record the chase CLI documents that ``tests/test_cli.py`` compares against.
+"""Record the CLI documents that ``tests/test_cli.py`` compares against.
 
-The cases are ``separate --json`` for every pair of subobjects of the top of
-every fixture, at ``--width 0`` and ``--width 1``, and ``chase --json`` from
-every object of every fixture.  Each document is kept as its exit code and
-the SHA-256 of its stdout bytes.
+The chase cases are ``separate --json`` for every pair of subobjects of the
+top of every fixture, at ``--width 0`` and ``--width 1``, and ``chase --json``
+from every object of every fixture.  The eventual cases are
+``delta-check --json`` and ``eta-check --json`` on two non-thin sites that
+are not fixtures: the involution at bounds 1-3 and the fork at bounds 1-2,
+each written to a temporary file.  Each document is kept as its exit code
+and the SHA-256 of its stdout bytes.
 
-Run from the root of a checkout, only when a change to the chase output is
-intended:
+Run from the root of a checkout, only when a change to the chase or the
+eventual output is intended:
 
     PYTHONPATH=src python tests/record_cli_documents.py
 """
@@ -17,10 +20,14 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 from finsite import fixtures, limits
+from finsite.fileformat import print_site
+
+from helpers import fork_category, involution_category, top_covered_site
 
 DOCUMENTS = Path(__file__).with_name("cli_documents.json")
 
@@ -48,9 +55,36 @@ def chase_cli_cases() -> list[tuple[str, ...]]:
     return cases
 
 
-def run_case(case) -> tuple[int, str]:
+# name -> (category, the object whose identity is its one cover, bounds)
+EVENTUAL_SITES = {
+    "involution": (involution_category, "T", (1, 2, 3)),
+    "fork": (fork_category, "z", (1, 2)),
+}
+
+
+def eventual_cli_cases() -> list[tuple[str, ...]]:
+    """argv tuples, with the site file given by its name."""
+    return [(command, f"{name}.site", "--bound", str(bound), "--json")
+            for name, (_, _, bounds) in EVENTUAL_SITES.items()
+            for bound in bounds
+            for command in ("delta-check", "eta-check")]
+
+
+def write_eventual_sites(directory) -> dict[str, str]:
+    """Print each eventual site into ``directory``; file name -> path."""
+    paths = {}
+    for name, (make, top, _) in EVENTUAL_SITES.items():
+        path = Path(directory) / f"{name}.site"
+        path.write_text(print_site(top_covered_site(make(), top)), encoding="utf-8")
+        paths[path.name] = str(path)
+    return paths
+
+
+def run_case(case, paths=None) -> tuple[int, str]:
+    """Run one case; ``paths`` resolves site files that are not fixtures."""
     from finsite.cli import main
-    argv = [case[0], fixture_path(case[1]), *case[2:]]
+    path = (paths or {}).get(case[1]) or fixture_path(case[1])
+    argv = [case[0], path, *case[2:]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -63,9 +97,11 @@ def digest(stdout: str) -> str:
 
 def main():
     documents = {}
-    for case in chase_cli_cases():
-        code, stdout = run_case(case)
-        documents[" ".join(case)] = {"code": code, "sha256": digest(stdout)}
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_eventual_sites(directory)
+        for case in chase_cli_cases() + eventual_cli_cases():
+            code, stdout = run_case(case, paths)
+            documents[" ".join(case)] = {"code": code, "sha256": digest(stdout)}
     DOCUMENTS.write_text(json.dumps(documents, indent=1, sort_keys=True) + "\n")
     print(f"{len(documents)} documents written to {DOCUMENTS}")
 

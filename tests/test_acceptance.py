@@ -12,7 +12,7 @@ from finsite import fixtures
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
                            branch_colimit, explore_cotree, family_jointly_covers,
                            pairing, separate_subobjects, unpairing)
-from finsite.eventual import delta_iso_check, eta_component_check
+from finsite.eventual import NatTable, delta_iso_check, eta_component_check
 from finsite.fincat import (CONTRAVARIANT, NatTransData, SetValuedFunctor,
                             all_nat_transformations, check_nat, compose_nat,
                             validate_category)
@@ -300,9 +300,10 @@ def test_acceptance_10_delta_and_eta():
     pairs = 0
     for name, site in ALL_SITES.items():
         models = [m.functor for m in enumerate_models(site, ModelBound(2))]
-        for m in models:
-            for n in models:
-                assert delta_iso_check(m, n, others=models), (name, m.sizes, n.sizes)
+        table = NatTable(models)
+        for i, m in enumerate(models):
+            for j, n in enumerate(models):
+                assert delta_iso_check(table, i, j), (name, m.sizes, n.sizes)
                 pairs += 1
         for m in models:
             assert eta_check(site, m), (name, m.sizes)

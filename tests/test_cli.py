@@ -12,7 +12,8 @@ from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
 
 from helpers import slow_plus, slow_sieve_topology
-from record_cli_documents import DOCUMENTS, chase_cli_cases, digest
+from record_cli_documents import (DOCUMENTS, chase_cli_cases, digest,
+                                  eventual_cli_cases, write_eventual_sites)
 
 
 def fixture_path(name):
@@ -89,6 +90,28 @@ def test_unknown_morphism_in_compose_is_reported_at_its_line():
     text = ("object x\narrow f : x -> x\ncompose f . f = f\n"
             "compose f . g = f\ncover x <- [id_x]\n")
     assert _parse_error_line(text) == 4
+
+
+@pytest.mark.parametrize("text, line", [
+    # unknown element in a join
+    ("lattice {\n elements: a b c\n a < b\n join c <- [a, z]\n}", 4),
+    # malformed join
+    ("lattice {\n elements: a b\n a < b\n join b a\n}", 4),
+    # unknown element in a relation, in a block that starts on line 3
+    ("# a comment\n\nlattice {\n elements: a b c\n a < z\n}", 5),
+    # content that is not a relation
+    ("lattice {\n elements: a b\n a < b\n b ? a\n}", 4),
+    # a second elements list
+    ("lattice {\n elements: a b\n\n elements: c\n}", 4),
+    # a malformed elements list
+    ("lattice {\n a < b\n elements: a ?\n}", 3),
+    # poset content that is not a relation
+    ("poset {\n a < b\n b ? c\n}", 3),
+])
+def test_block_errors_are_reported_at_their_own_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column) == (line, 1)
 
 
 def test_explicit_category_with_compose_facts():
@@ -221,16 +244,55 @@ def test_chase_and_separate_json_match_the_recorded_documents(capsys):
     bytes recorded in ``cli_documents.json``."""
     recorded = json.loads(DOCUMENTS.read_text())
     cases = chase_cli_cases()
-    assert sorted(" ".join(case) for case in cases) == sorted(recorded)
+    assert sorted(" ".join(case) for case in cases + eventual_cli_cases()) \
+        == sorted(recorded)
     for case in cases:
         code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
 
 
+def test_delta_and_eta_json_match_the_recorded_documents(capsys, tmp_path):
+    """``delta-check --json`` and ``eta-check --json`` on the non-thin
+    involution (bounds 1-3, bound 1 too small for a representable) and fork
+    (bounds 1-2) sites print the bytes recorded in ``cli_documents.json``."""
+    recorded = json.loads(DOCUMENTS.read_text())
+    paths = write_eventual_sites(tmp_path)
+    for case in eventual_cli_cases():
+        code, out = run_cli(capsys, case[0], paths[case[1]], *case[2:])
+        assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
+    code, out = run_cli(capsys, "delta-check", paths["involution.site"],
+                        "--bound", "1", "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["detail"] \
+        == "representable at x escapes the bound"
+
+
 def test_seed_flag_is_gone(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         main(["check", fixture_path("point.site"), "--seed", "1"])
+    assert err.value.code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],                                           # missing file
+    ["models", "diamond.site", "--bound", "x"],          # not an integer
+    ["frobnicate", "diamond.site"],                      # unknown subcommand
+    ["models", "diamond.site", "--frobnicate"],          # unknown flag
+])
+def test_usage_errors_exit_three_with_usage_on_stderr(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: finsite")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["models", "-h"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: finsite models")
 
 
 def test_models_subcommand_count(capsys):

@@ -1,16 +1,23 @@
-"""The materialized lex-functor category, delta certificates, ev colimits."""
+"""The lex-functor category over its Nat table, delta certificates, ev colimits."""
+
+import dataclasses
+from collections import Counter
 
 import pytest
 
-from finsite import fixtures
-from finsite.eventual import (BoundTooSmallError, build_ctilde, delta,
-                              delta_iso_check, eta_component_check)
-from finsite.fincat import (COVARIANT, SetValuedFunctor, constant_singleton,
-                            covariant_representable, validate_category)
-from finsite.models import (ModelBound, delta_pairing, enumerate_lex_functors,
-                            enumerate_models)
+from finsite import eventual, fixtures
+from finsite.cli import HANDLERS, main
+from finsite.eventual import (BoundTooSmallError, CTilde, NatTable, build_ctilde,
+                              delta, delta_iso_check, eta_component_check)
+from finsite.fincat import (COVARIANT, SetValuedFunctor, all_nat_transformations,
+                            constant_singleton, covariant_representable,
+                            validate_category)
+from finsite.models import (ModelBound, enumerate_lex_functors, enumerate_models,
+                            preserves_covers)
 
-from helpers import slow_enumerate_functors, slow_is_lex
+from helpers import (fork_category, involution_category, slow_enumerate_functors,
+                     slow_is_lex, top_covered_site)
+from record_cli_documents import fixture_path, write_eventual_sites
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -93,9 +100,10 @@ def test_delta_certified_for_all_models():
 def test_delta_iso_check_on_all_diamond_pairs():
     models = [m.functor for m in enumerate_models(DIAMOND_SITE, ModelBound(1))]
     assert len(models) == 3
-    for m in models:
-        for n in models:
-            assert delta_iso_check(m, n, others=models)
+    table = NatTable(models)
+    for i in range(len(models)):
+        for j in range(len(models)):
+            assert delta_iso_check(table, i, j)
 
 
 def test_delta_iso_check_is_natural_along_a_swap():
@@ -104,17 +112,18 @@ def test_delta_iso_check_is_natural_along_a_swap():
     cat = POINT_SITE.cat
     two = SetValuedFunctor(cat, COVARIANT, (2,), ((0, 1),))
     one = constant_singleton(cat)
-    for m in (two, one):
-        for n in (two, one):
-            assert delta_iso_check(m, n, others=[two, one]), (m.sizes, n.sizes)
+    table = NatTable([two, one])
+    for i, m in enumerate(table.functors):
+        for j, n in enumerate(table.functors):
+            assert delta_iso_check(table, i, j), (m.sizes, n.sizes)
 
 
 def test_delta_iso_yoneda_case():
     models = [m.functor for m in enumerate_models(DIAMOND_SITE, ModelBound(1))]
     for x in DIAMOND.objects:
-        rep = covariant_representable(DIAMOND, x)
-        for n in models:
-            nats, families, pairing = delta_pairing(rep, n)
+        table = NatTable([covariant_representable(DIAMOND, x)] + models)
+        for k, n in enumerate(models, start=1):
+            nats, families, pairing = table.hom(0, k), table.limit(0, k), table.pairing(0, k)
             assert len(nats) == n.sizes[x]  # Yoneda
             assert pairing is not None and len(families) == len(nats)
 
@@ -129,3 +138,80 @@ def test_eta_component_check_all_fixtures():
         models = [m.functor for m in enumerate_models(site, ModelBound(1))]
         report = eta_component_check(site, models)
         assert all(report.values()), (name, report)
+
+
+INVOLUTION_SITE = top_covered_site(involution_category(), "T")
+FORK_SITE = top_covered_site(fork_category(), "z")
+
+
+class _Dropping(NatTable):
+    """A table whose hom set at one pair lacks its first transformation."""
+
+    def __init__(self, functors, pair):
+        super().__init__(functors)
+        self.pair = pair
+
+    def hom(self, i, j):
+        hom = super().hom(i, j)
+        return hom[1:] if (i, j) == self.pair else hom
+
+
+def test_a_dropped_transformation_fails_delta_and_delta_iso_check():
+    ct = build_ctilde(INVOLUTION_SITE, ModelBound(2))
+    point = next(fn for fn in ct.functors if fn.sizes == (1, 1))
+    i = ct.functors.index(point)
+    assert i not in ct.phi_obj  # no phi arrow lies in its hom sets
+    assert delta_iso_check(ct.table, i, i)
+    assert delta(ct, point).certified
+    broken = dataclasses.replace(ct, table=_Dropping(ct.functors, (i, i)))
+    assert not delta_iso_check(broken.table, i, i)
+    assert f"universal property fails against object {i}" in delta(broken, point).failures
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta-check", "--bound", "3"], ["eta-check", "--bound", "3"]])
+def test_one_run_enumerates_each_hom_set_at_most_once(monkeypatch, tmp_path,
+                                                     capsys, argv):
+    calls = Counter()
+
+    def counted(src, tgt):
+        calls[src, tgt] += 1
+        return all_nat_transformations(src, tgt)
+    monkeypatch.setattr(eventual, "all_nat_transformations", counted)
+    paths = write_eventual_sites(tmp_path)
+    for path in [paths["involution.site"], paths["fork.site"], fixture_path("wide5.site")]:
+        calls.clear()
+        assert main([argv[0], path, *argv[1:]]) == 0
+        assert calls and max(calls.values()) == 1, path
+    capsys.readouterr()
+
+
+def test_no_cli_command_reads_the_dense_category(monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("CTilde.category was read")
+    monkeypatch.setattr(CTilde, "category", property(refuse))
+    site = fixture_path("diamond.site")
+    involution = write_eventual_sites(tmp_path)["involution.site"]
+    runs = [["check", site], ["saturate", site], ["models", site],
+            ["chase", site, "--root", "1"],
+            ["separate", site, "--object", "1", "--u", "a", "--v", "b"],
+            ["sheafify", site, "--object", "1"],
+            ["factor", site, "--source", "a", "--target", "1"],
+            ["lattice-embed", fixture_path("diamond.lat")],
+            ["delta-check", site], ["eta-check", site],
+            ["delta-check", involution, "--bound", "2"],
+            ["eta-check", involution, "--bound", "2"]]
+    assert {argv[0] for argv in runs} == set(HANDLERS)
+    for argv in runs:
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+
+
+def test_models_taken_from_ctilde_are_enumerate_models():
+    sites = dict(ALL_SITES, involution=INVOLUTION_SITE, fork=FORK_SITE)
+    for name, site in sites.items():
+        for bound in (1, 2):
+            taken = [fn for fn in enumerate_lex_functors(site.cat, bound)
+                     if preserves_covers(fn, site)]
+            assert taken == [m.functor for m in enumerate_models(site, ModelBound(bound))], \
+                (name, bound)

@@ -10,8 +10,9 @@ from finsite import fixtures, models
 from finsite.fincat import (COVARIANT, SetValuedFunctor,
                             all_nat_transformations, poset_category,
                             validate_set_functor)
+from finsite.eventual import NatTable
 from finsite.models import (ModelBound, _lex_probes, _square_holds,
-                            delta_pairing, enumerate_lex_functors,
+                            enumerate_lex_functors,
                             enumerate_models, enumerate_set_functors,
                             eta_check, lan_ay, lan_map, lex_hull,
                             nat_via_limit, is_lex, preserves_covers,
@@ -91,9 +92,10 @@ def test_square_check_demands_an_injective_comparison():
 
 def test_nat_counts_and_limit_formula_agree():
     models = [m.functor for m in enumerate_models(DIAMOND_SITE, ModelBound(1))]
-    for m in models:
-        for n in models:
-            nats, families, pairing = delta_pairing(m, n)
+    table = NatTable(models)
+    for i in range(len(models)):
+        for j in range(len(models)):
+            nats, families, pairing = table.hom(i, j), table.limit(i, j), table.pairing(i, j)
             assert pairing is not None
             assert len(nats) == len(families) == len(set(pairing))
     # frozen counts: models sorted as (0,0,1,1), (0,1,0,1), (1,1,1,1)
@@ -106,9 +108,11 @@ def test_nat_counts_and_limit_formula_agree():
 def test_nat_formula_on_all_pairs_of_all_fixtures():
     for name, site in ALL_SITES.items():
         models = [m.functor for m in enumerate_models(site, ModelBound(2))]
-        for m in models:
-            for n in models:
-                nats, families, pairing = delta_pairing(m, n)
+        table = NatTable(models)
+        for i in range(len(models)):
+            for j in range(len(models)):
+                nats, families, pairing = (table.hom(i, j), table.limit(i, j),
+                                           table.pairing(i, j))
                 assert pairing is not None, name
                 assert len(nats) == len(families) == len(set(pairing)), name
 
