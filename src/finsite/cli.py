@@ -282,11 +282,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="finsite")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> the flags it takes beyond the common ones
+_FLAGS = {
+    "check": {},
+    "saturate": {},
+    "models": {},
+    "chase": {"--root": {"required": True}},
+    "separate": {"--object": {"required": True},
+                 "--u": {"required": True}, "--v": {"required": True}},
+    "sheafify": {"--object": {"required": True}},
+    "factor": {"--source": {"required": True}, "--target": {"required": True}},
+    "lattice-embed": {"--method": {"choices": ["birkhoff", "models", "both"],
+                                   "default": "both"}},
+    "delta-check": {},
+    "eta-check": {},
+}
 
-    def add(name, **extra):
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command or, given a command's name, of that one
+    command alone.  The one-command parser reads that command's argument
+    lists as the full parser does, with the same help, usage lines (they
+    still name every command), errors and exit codes."""
+    parser = _Parser(prog="finsite")
+    if command in _FLAGS:
+        names = [command]
+        metavar = "{" + ",".join(_FLAGS) + "}"
+    else:
+        names, metavar = list(_FLAGS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("file")
         p.add_argument("--json", action="store_true")
@@ -294,22 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=64)
         p.add_argument("--width", type=int, default=0)
         p.add_argument("--strategy", default="first-leg")
-        for flag, kwargs in extra.items():
+        for flag, kwargs in _FLAGS[name].items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    add("check")
-    add("saturate")
-    add("models")
-    add("chase", **{"--root": {"required": True}})
-    add("separate", **{"--object": {"required": True},
-                       "--u": {"required": True}, "--v": {"required": True}})
-    add("sheafify", **{"--object": {"required": True}})
-    add("factor", **{"--source": {"required": True}, "--target": {"required": True}})
-    add("lattice-embed", **{"--method": {"choices": ["birkhoff", "models", "both"],
-                                         "default": "both"}})
-    add("delta-check")
-    add("eta-check")
     return parser
 
 
@@ -336,7 +347,8 @@ def _input_error(args, command, message):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     command = args.command
     try:
         text, parsed = _load(args.file)

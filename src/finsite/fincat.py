@@ -94,6 +94,11 @@ class FinCategory:
         return tuple([len(row[x]) for row in self._hom_table] for x in self.objects)
 
     @cached_property
+    def _thin(self) -> bool:
+        """Every hom set has at most one arrow: the category is a preorder."""
+        return all(count <= 1 for column in self._hom_counts for count in column)
+
+    @cached_property
     def _into_table(self):
         table = [[] for _ in self.objects]
         for f in self.morphisms:
@@ -109,7 +114,8 @@ class FinCategory:
 
     @cached_property
     def _pullback_table(self) -> dict:
-        """(f, g) -> canonical pullback square or None, filled by limits.pullback."""
+        """Cospan key -> canonical pullback square or None, filled by
+        limits.pullback: (f, g), or (dom f, dom g) on a thin category."""
         return {}
 
     @cached_property
@@ -121,7 +127,8 @@ class FinCategory:
 
     @cached_property
     def _lex_probe_table(self) -> dict:
-        """The terminal object and pullback squares, filled by models._lex_probes."""
+        """The terminal object with every pullback square, and the squares
+        is_lex checks, filled by models._lex_probes and models._lex_checks."""
         return {}
 
     def is_identity(self, f: int) -> bool:
@@ -274,14 +281,10 @@ def validate_category(cat: FinCategory) -> list[str]:
             report.append(f"left identity law fails at {f}")
         if cat.comp[f][cat.identity[cat.dom[f]]] != f:
             report.append(f"right identity law fails at {f}")
-    for h in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.cod[g] != cat.dom[h]:
-                continue
+    for h in cat.morphisms:  # composable triples only, ascending in (h, g, f)
+        for g in cat.into(cat.dom[h]):
             hg = cat.comp[h][g]
-            for f in cat.morphisms:
-                if cat.cod[f] != cat.dom[g]:
-                    continue
+            for f in cat.into(cat.dom[g]):
                 if cat.comp[h][cat.comp[g][f]] != cat.comp[hg][f]:
                     report.append(f"associativity fails at ({h},{g},{f})")
     return report

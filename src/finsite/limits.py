@@ -123,12 +123,27 @@ def pullback(cat: FinCategory, f: int, g: int):
     bijectively onto the cones over w.  So only an apex whose hom-count
     column equals the cone counts can carry one, and on such an apex the
     map is a bijection as soon as it is injective.
+
+    On a thin category the square depends on the leg domains alone: the
+    cone counts, so the apex, and the unique legs are all read off
+    hom(-, dom f) and hom(-, dom g).  Cospans with the same leg domains
+    share one square there.
     """
     cache = cat._pullback_table
-    key = (f, g)
+    key = _pullback_key(cat, f, g)
     if key not in cache:
         cache[key] = _pullback_square(cat, f, g)
     return cache[key]
+
+
+def _pullback_key(cat: FinCategory, f: int, g: int):
+    """The key of the cospan (f, g) in ``cat._pullback_table``: (dom f, dom g)
+    on a thin category, once the codomains are checked, else (f, g)."""
+    if not cat._thin:
+        return f, g
+    if cat.cod[f] != cat.cod[g]:
+        raise ValueError("cospan legs must share a codomain")
+    return cat.dom[f], cat.dom[g]
 
 
 def _pullback_square(cat: FinCategory, f: int, g: int):

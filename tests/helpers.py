@@ -8,6 +8,7 @@ raw definitions, so agreement tests compare genuinely different deciders.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -35,6 +36,16 @@ def fork_category() -> FinCategory:
         3, [(0, 1), (0, 1), (1, 2), (0, 2)],
         {(5, 3): 6, (5, 4): 6},
         ("x", "y", "z"), ("f", "g", "q", "h"))
+
+
+def equalized_fork_category() -> FinCategory:
+    """The fork f, g: x -> y, q: y -> z (q∘f = q∘g = h) with an equalizer
+    i: e -> x of f and g.  Not thin, and z is terminal."""
+    # objects e=0, x=1, y=2, z=3; arrows i=4, f=5, g=6, q=7, h=8, r=9, u=10
+    return make_category(
+        4, [(0, 1), (1, 2), (1, 2), (2, 3), (1, 3), (0, 2), (0, 3)],
+        {(5, 4): 9, (6, 4): 9, (7, 5): 8, (7, 6): 8, (7, 9): 10, (8, 4): 10},
+        ("e", "x", "y", "z"), ("i", "f", "g", "q", "h", "r", "u"))
 
 
 def fresh_site(site: SiteSpec) -> SiteSpec:
@@ -145,10 +156,10 @@ def grid_leq(a, b):
     return [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells]
 
 
-def poset_site(leq) -> SiteSpec:
+def poset_site(leq, obj_names=()) -> SiteSpec:
     """The poset with every element covered by its immediate predecessors
     when it has at least two, and the identity cover on a top if any."""
-    cat = poset_category(leq)
+    cat = poset_category(leq, obj_names)
     n = len(leq)
     covers = [Family.make(y, [cat.identity[y]]) for y in range(n)
               if all(leq[x][y] for x in range(n))]
@@ -413,30 +424,89 @@ def slow_enumerate_functors(cat: FinCategory, bound: int):
                 yield fn
 
 
+@functools.cache
+def slow_pullback_squares(cat: FinCategory):
+    """(f, g, square) for every cospan with a pullback, each square computed
+    on its own by ``limits._pullback_square``, not read from a shared table."""
+    squares = []
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if cat.cod[f] == cat.cod[g]:
+                square = limits._pullback_square(cat, f, g)
+                if square is not None:
+                    squares.append((f, g, square))
+    return squares
+
+
 def slow_is_lex(cat: FinCategory, fn: SetValuedFunctor) -> bool:
     """Definition-based lex check: terminal to a point, each canonical
     pullback square to a square with the set-level universal property."""
     terminal = limits.terminal_object(cat)
     if terminal is None or fn.sizes[terminal] != 1:
         return False
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.cod[f] != cat.cod[g]:
-                continue
-            square = limits.pullback(cat, f, g)
-            if square is None:
-                continue
-            pairs = {}
-            for p in fn.carrier(square.apex):
-                key = (fn.action[square.to_left][p], fn.action[square.to_right][p])
-                if key in pairs:
-                    return False  # comparison not injective
-                pairs[key] = p
-            for a in fn.carrier(cat.dom[f]):
-                for b in fn.carrier(cat.dom[g]):
-                    if fn.action[f][a] == fn.action[g][b] and (a, b) not in pairs:
-                        return False  # comparison not surjective
+    for f, g, square in slow_pullback_squares(cat):
+        pairs = {}
+        for p in fn.carrier(square.apex):
+            key = (fn.action[square.to_left][p], fn.action[square.to_right][p])
+            if key in pairs:
+                return False  # comparison not injective
+            pairs[key] = p
+        for a in fn.carrier(cat.dom[f]):
+            for b in fn.carrier(cat.dom[g]):
+                if fn.action[f][a] == fn.action[g][b] and (a, b) not in pairs:
+                    return False  # comparison not surjective
     return True
+
+
+def slow_validate_category(cat: FinCategory) -> list[str]:
+    """Every law instance, the associativity triples among all n³ triples of
+    morphisms: ``fincat.validate_category`` as it was before it listed the
+    composable triples only."""
+    report = []
+    n_obj, n_mor = cat.n_objects, cat.n_morphisms
+    for f in cat.morphisms:
+        if not (0 <= cat.dom[f] < n_obj and 0 <= cat.cod[f] < n_obj):
+            report.append(f"dom/cod out of range for morphism {f}")
+    for x in cat.objects:
+        i = cat.identity[x]
+        if not (0 <= i < n_mor):
+            report.append(f"identity of object {x} is not a morphism")
+        elif cat.dom[i] != x or cat.cod[i] != x:
+            report.append(f"identity of object {x} is not an endomorphism of it")
+    if report:
+        return report  # comp scans below assume well-formed indices
+    for g in cat.morphisms:
+        for f in cat.morphisms:
+            h = cat.comp[g][f]
+            composable = cat.cod[f] == cat.dom[g]
+            if not composable:
+                if h != UNDEFINED:
+                    report.append(f"comp defined on non-composable pair ({g},{f})")
+                continue
+            if h == UNDEFINED:
+                report.append(f"comp missing on composable pair ({g},{f})")
+            elif not (0 <= h < n_mor):
+                report.append(f"comp not closed at ({g},{f})")
+            elif cat.dom[h] != cat.dom[f] or cat.cod[h] != cat.cod[g]:
+                report.append(f"comp has wrong dom/cod at ({g},{f})")
+    if report:
+        return report
+    for f in cat.morphisms:
+        if cat.comp[cat.identity[cat.cod[f]]][f] != f:
+            report.append(f"left identity law fails at {f}")
+        if cat.comp[f][cat.identity[cat.dom[f]]] != f:
+            report.append(f"right identity law fails at {f}")
+    for h in cat.morphisms:
+        for g in cat.morphisms:
+            if cat.cod[g] != cat.dom[h]:
+                continue
+            hg = cat.comp[h][g]
+            for f in cat.morphisms:
+                if cat.cod[f] != cat.dom[g]:
+                    continue
+                if cat.comp[h][cat.comp[g][f]] != cat.comp[hg][f]:
+                    report.append(f"associativity fails at ({h},{g},{f})")
+    return report
 
 
 def slow_preserves_covers(fn: SetValuedFunctor, site: SiteSpec) -> bool:

@@ -5,11 +5,13 @@ top of every fixture, at ``--width 0`` and ``--width 1``, and ``chase --json``
 from every object of every fixture.  The eventual cases are
 ``delta-check --json`` and ``eta-check --json`` on two non-thin sites that
 are not fixtures: the involution at bounds 1-3 and the fork at bounds 1-2,
-each written to a temporary file.  Each document is kept as its exit code
-and the SHA-256 of its stdout bytes.
+each written to a temporary file.  The thin cases are ``models --json`` on
+poset sites named and covered as the benchmark's ladder writes them: bool_4,
+pbool_4 and bool_5 at bound 1, pbool_3 and chain_6 at bound 2.  Each
+document is kept as its exit code and the SHA-256 of its stdout bytes.
 
-Run from the root of a checkout, only when a change to the chase or the
-eventual output is intended:
+Run from the root of a checkout, only when a change to the chase, the
+eventual or the models output is intended:
 
     PYTHONPATH=src python tests/record_cli_documents.py
 """
@@ -27,7 +29,8 @@ from pathlib import Path
 from finsite import fixtures, limits
 from finsite.fileformat import print_site
 
-from helpers import fork_category, involution_category, top_covered_site
+from helpers import (fork_category, involution_category, poset_site,
+                     top_covered_site)
 
 DOCUMENTS = Path(__file__).with_name("cli_documents.json")
 
@@ -70,12 +73,45 @@ def eventual_cli_cases() -> list[tuple[str, ...]]:
             for command in ("delta-check", "eta-check")]
 
 
-def write_eventual_sites(directory) -> dict[str, str]:
-    """Print each eventual site into ``directory``; file name -> path."""
+def _chain(n):
+    return [f"c{i}" for i in range(n)], [[i <= j for j in range(n)] for i in range(n)]
+
+
+def _boolean(k, punctured=False):
+    """The subsets of k points, without the empty one when ``punctured``."""
+    elements = [e for e in range(2 ** k) if not (punctured and e == 0)]
+    return ([f"s{e:0{k}b}" for e in elements],
+            [[a & b == a for b in elements] for a in elements])
+
+
+# name -> ((object names, leq matrix), bounds) of the thin models cases
+MODELS_SITES = {
+    "bool_4": (lambda: _boolean(4), (1,)),
+    "pbool_4": (lambda: _boolean(4, punctured=True), (1,)),
+    "pbool_3": (lambda: _boolean(3, punctured=True), (2,)),
+    "chain_6": (lambda: _chain(6), (2,)),
+    "bool_5": (lambda: _boolean(5), (1,)),
+}
+
+
+def models_cli_cases() -> list[tuple[str, ...]]:
+    """argv tuples, with the site file given by its name."""
+    return [("models", f"{name}.site", "--bound", str(bound), "--json")
+            for name, (_, bounds) in MODELS_SITES.items() for bound in bounds]
+
+
+def write_sites(directory) -> dict[str, str]:
+    """Print each eventual and models site into ``directory``; file name ->
+    path."""
+    sites = {name: top_covered_site(make(), top)
+             for name, (make, top, _) in EVENTUAL_SITES.items()}
+    for name, (make, _) in MODELS_SITES.items():
+        names, leq = make()
+        sites[name] = poset_site(leq, names)
     paths = {}
-    for name, (make, top, _) in EVENTUAL_SITES.items():
+    for name, site in sites.items():
         path = Path(directory) / f"{name}.site"
-        path.write_text(print_site(top_covered_site(make(), top)), encoding="utf-8")
+        path.write_text(print_site(site), encoding="utf-8")
         paths[path.name] = str(path)
     return paths
 
@@ -98,8 +134,8 @@ def digest(stdout: str) -> str:
 def main():
     documents = {}
     with tempfile.TemporaryDirectory() as directory:
-        paths = write_eventual_sites(directory)
-        for case in chase_cli_cases() + eventual_cli_cases():
+        paths = write_sites(directory)
+        for case in chase_cli_cases() + eventual_cli_cases() + models_cli_cases():
             code, stdout = run_case(case, paths)
             documents[" ".join(case)] = {"code": code, "sha256": digest(stdout)}
     DOCUMENTS.write_text(json.dumps(documents, indent=1, sort_keys=True) + "\n")

@@ -1,19 +1,21 @@
 """Text-format round trips, JSON stability, and the exit-code contract."""
 
+import argparse
 import json
 from types import SimpleNamespace
 
 import pytest
 
 from finsite import chase, fixtures, lattice
-from finsite.cli import main
+from finsite.cli import _FLAGS, HANDLERS, build_parser, main
 from finsite.fincat import compose_nat, representable_presheaf
 from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
 
 from helpers import slow_plus, slow_sieve_topology
 from record_cli_documents import (DOCUMENTS, chase_cli_cases, digest,
-                                  eventual_cli_cases, write_eventual_sites)
+                                  eventual_cli_cases, models_cli_cases,
+                                  write_sites)
 
 
 def fixture_path(name):
@@ -244,7 +246,8 @@ def test_chase_and_separate_json_match_the_recorded_documents(capsys):
     bytes recorded in ``cli_documents.json``."""
     recorded = json.loads(DOCUMENTS.read_text())
     cases = chase_cli_cases()
-    assert sorted(" ".join(case) for case in cases + eventual_cli_cases()) \
+    assert sorted(" ".join(case) for case
+                  in cases + eventual_cli_cases() + models_cli_cases()) \
         == sorted(recorded)
     for case in cases:
         code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
@@ -256,7 +259,7 @@ def test_delta_and_eta_json_match_the_recorded_documents(capsys, tmp_path):
     involution (bounds 1-3, bound 1 too small for a representable) and fork
     (bounds 1-2) sites print the bytes recorded in ``cli_documents.json``."""
     recorded = json.loads(DOCUMENTS.read_text())
-    paths = write_eventual_sites(tmp_path)
+    paths = write_sites(tmp_path)
     for case in eventual_cli_cases():
         code, out = run_cli(capsys, case[0], paths[case[1]], *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
@@ -265,6 +268,18 @@ def test_delta_and_eta_json_match_the_recorded_documents(capsys, tmp_path):
     assert code == 2
     assert json.loads(out)["result"]["detail"] \
         == "representable at x escapes the bound"
+
+
+def test_thin_models_json_match_the_recorded_documents(capsys, tmp_path):
+    """``models --json`` on bool_4, pbool_4 and bool_5 at bound 1 and on
+    pbool_3 and chain_6 at bound 2, which take the thin path and its
+    product-only lex checks, print the bytes recorded in
+    ``cli_documents.json``."""
+    recorded = json.loads(DOCUMENTS.read_text())
+    paths = write_sites(tmp_path)
+    for case in models_cli_cases():
+        code, out = run_cli(capsys, case[0], paths[case[1]], *case[2:])
+        assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
 
 
 def test_seed_flag_is_gone(capsys):
@@ -286,6 +301,42 @@ def test_usage_errors_exit_three_with_usage_on_stderr(capsys, argv):
     assert err.value.code == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage: finsite")
+
+
+def _parsed(capsys, parser, argv):
+    """What parsing argv prints to stdout and stderr, and its exit code or
+    the parsed arguments."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, outcome
+
+
+@pytest.mark.parametrize("command", list(HANDLERS))
+def test_one_command_parser_reads_its_argv_as_the_full_parser(capsys, command):
+    """``main`` builds only the invoked command's subparser; help, the four
+    usage errors, an extra argument and a good argv come out byte-identical
+    to the parser of every command."""
+    one = build_parser(command)
+    subparsers = next(action for action in one._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == [command]
+    path = fixture_path("diamond.site")
+    for argv in ([command, "-h"],
+                 [command],                                # missing file
+                 [command, path, "--bound", "x"],          # not an integer
+                 [command + "x", path],                    # unknown subcommand
+                 [command, path, "--frobnicate"],          # unknown flag
+                 [command, path, "extra"],
+                 [command, path, "--json", "--bound", "2"]):
+        expected = _parsed(capsys, build_parser(), argv)
+        assert _parsed(capsys, build_parser(argv[0]), argv) == expected, argv
+    required = [word for flag, kwargs in _FLAGS[command].items()
+                if kwargs.get("required") for word in (flag, "a")]
+    _, err, code = _parsed(capsys, one, [command, path, *required, "--frobnicate"])
+    assert code == 3 and "{" + ",".join(HANDLERS) + "}" in err  # every command
 
 
 def test_help_exits_zero(capsys):

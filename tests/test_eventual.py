@@ -17,7 +17,7 @@ from finsite.models import (ModelBound, enumerate_lex_functors, enumerate_models
 
 from helpers import (fork_category, involution_category, slow_enumerate_functors,
                      slow_is_lex, top_covered_site)
-from record_cli_documents import fixture_path, write_eventual_sites
+from record_cli_documents import fixture_path, write_sites
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -178,7 +178,7 @@ def test_one_run_enumerates_each_hom_set_at_most_once(monkeypatch, tmp_path,
         calls[src, tgt] += 1
         return all_nat_transformations(src, tgt)
     monkeypatch.setattr(eventual, "all_nat_transformations", counted)
-    paths = write_eventual_sites(tmp_path)
+    paths = write_sites(tmp_path)
     for path in [paths["involution.site"], paths["fork.site"], fixture_path("wide5.site")]:
         calls.clear()
         assert main([argv[0], path, *argv[1:]]) == 0
@@ -191,7 +191,7 @@ def test_no_cli_command_reads_the_dense_category(monkeypatch, tmp_path, capsys):
         raise AssertionError("CTilde.category was read")
     monkeypatch.setattr(CTilde, "category", property(refuse))
     site = fixture_path("diamond.site")
-    involution = write_eventual_sites(tmp_path)["involution.site"]
+    involution = write_sites(tmp_path)["involution.site"]
     runs = [["check", site], ["saturate", site], ["models", site],
             ["chase", site, "--root", "1"],
             ["separate", site, "--object", "1", "--u", "a", "--v", "b"],

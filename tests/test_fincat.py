@@ -14,7 +14,9 @@ from finsite.fincat import (UNDEFINED, FinCategory, NatTransData,
                             order_closure, poset_category, validate_category)
 from finsite.models import ModelBound, enumerate_models
 
-from helpers import fork_category, left_zero_monoid, posets
+from helpers import (boolean_leq, equalized_fork_category, fork_category,
+                     involution_category, iso_pair_category, left_zero_monoid,
+                     posets, slow_validate_category)
 
 POINT = fixtures.load_site("point").cat
 DIAMOND = fixtures.load_site("diamond").cat
@@ -68,6 +70,63 @@ def test_five_mutations_each_name_a_law():
     comp[7][1] = UNDEFINED  # erase a_to_1 ∘ id_a
     assert any("comp missing" in v for v in validate_category(
         _mutate(DIAMOND, comp=tuple(tuple(r) for r in comp))))
+
+
+def _one_entry_changed(cat: FinCategory):
+    """Every table with one comp entry, one identity or one dom/cod entry of
+    ``cat`` replaced by another value in or just out of range."""
+    n, values = cat.n_morphisms, (UNDEFINED, *range(cat.n_morphisms + 1))
+    for g, f in itertools.product(range(n), repeat=2):
+        for h in values:
+            if h != cat.comp[g][f]:
+                comp = [list(row) for row in cat.comp]
+                comp[g][f] = h
+                yield _mutate(cat, comp=tuple(tuple(row) for row in comp))
+    for x in cat.objects:
+        for i in range(n + 1):
+            if i != cat.identity[x]:
+                identity = list(cat.identity)
+                identity[x] = i
+                yield _mutate(cat, identity=tuple(identity))
+    for name in ("dom", "cod"):
+        for f in range(n):
+            for x in range(cat.n_objects + 1):
+                if x != getattr(cat, name)[f]:
+                    table = list(getattr(cat, name))
+                    table[f] = x
+                    yield _mutate(cat, **{name: tuple(table)})
+
+
+def test_validation_reports_match_the_all_triples_scan():
+    """Listing only composable triples gives the reports of the scan over
+    all triples, in the same order, on valid tables and on every table with
+    one entry changed."""
+    cats = [site.cat for site in ALL_SITES.values()]
+    cats += [fork_category(), equalized_fork_category(), involution_category(),
+             iso_pair_category(), left_zero_monoid(), poset_category(boolean_leq(3))]
+    for cat in cats:
+        assert validate_category(cat) == slow_validate_category(cat) == []
+    laws = set()
+    for cat in cats[:-1]:
+        for broken in _one_entry_changed(cat):
+            report = validate_category(broken)
+            assert report == slow_validate_category(broken), broken
+            laws.update(line.split(" at ")[0] for line in report if " at " in line)
+    assert {"associativity fails", "left identity law fails",
+            "right identity law fails", "comp not closed"} <= laws
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_objects=5), st.data())
+def test_validation_reports_match_on_random_posets_with_a_changed_entry(leq, data):
+    cat = poset_category(leq)
+    assert validate_category(cat) == slow_validate_category(cat) == []
+    comp = [list(row) for row in cat.comp]
+    n = cat.n_morphisms
+    g, f = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    comp[g][f] = data.draw(st.integers(UNDEFINED, n))
+    broken = _mutate(cat, comp=tuple(tuple(row) for row in comp))
+    assert validate_category(broken) == slow_validate_category(broken)
 
 
 def test_hom_set_examples():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 
 from finsite import fixtures
 from finsite.fincat import all_nat_transformations, check_nat, poset_category
-from finsite.limits import (Cone, PullbackSquare, cospan_diagram,
+from finsite.limits import (Cone, PullbackSquare, _pullback_key,
+                            _pullback_square, cospan_diagram,
                             discrete_diagram, empty_diagram,
                             image_factorization_abstract,
                             image_factorization_pointwise, is_effective_epi,
@@ -104,6 +105,59 @@ def test_pullback_matches_cospan_limit_on_random_posets(leq):
     _assert_hom_table_limits_match_oracle(poset_category(leq))
 
 
+def _cospans(cat):
+    return [(f, g) for f in cat.morphisms for g in cat.morphisms
+            if cat.cod[f] == cat.cod[g]]
+
+
+def _assert_table_squares_are_fresh_squares(cat, name=""):
+    """Whichever cospan fills a table entry first, ``pullback`` answers every
+    cospan with the square ``_pullback_square`` computes for it alone."""
+    cospans = _cospans(cat)
+    for order in (cospans, cospans[::-1]):
+        table = dataclasses.replace(cat)
+        for f, g in order:
+            assert pullback(table, f, g) == _pullback_square(cat, f, g), (name, f, g)
+        keys = {(cat.dom[f], cat.dom[g]) if cat._thin else (f, g) for f, g in order}
+        assert set(table._pullback_table) == keys, name
+
+
+def test_pullback_table_gives_the_fresh_square_of_every_cospan():
+    for name, cat in CATALOGUE.items():
+        _assert_table_squares_are_fresh_squares(cat, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_objects=6))
+def test_pullback_table_gives_the_fresh_square_on_random_posets(leq):
+    _assert_table_squares_are_fresh_squares(poset_category(leq))
+
+
+def test_thin_table_is_keyed_by_leg_domains():
+    """bool_3 shares a square among the cospans with the same leg domains:
+    one entry per ordered pair of objects, not one per cospan."""
+    cat = dataclasses.replace(CATALOGUE["bool_3"])
+    for f, g in _cospans(cat):
+        pullback(cat, f, g)
+    assert len(_cospans(cat)) == 125 and len(cat._pullback_table) == 64
+    assert not CATALOGUE["fork"]._thin and CATALOGUE["iso_pair"]._thin
+
+
+def test_thin_pullback_rejects_mismatched_legs_after_the_table_fills():
+    """A pair of arrows with different codomains raises even when a cospan
+    with the same leg domains is already in the table."""
+    for name in ("bool_3", "pbool_4", "iso_pair", "diamond"):
+        cat = dataclasses.replace(CATALOGUE[name])
+        for f, g in _cospans(cat):
+            pullback(cat, f, g)
+        mismatched = [(f, g) for f in cat.morphisms for g in cat.morphisms
+                      if cat.cod[f] != cat.cod[g]]
+        assert mismatched, name
+        for f, g in mismatched:
+            with pytest.raises(ValueError):
+                pullback(cat, f, g)
+
+
 def test_pullback_rejects_legs_with_different_codomains():
     for cat in (DIAMOND, dataclasses.replace(DIAMOND)):
         f, g = DIAMOND.hom(0, 1)[0], DIAMOND.hom(0, 2)[0]
@@ -118,7 +172,7 @@ def test_effective_epis_and_images_unchanged_on_oracle_squares():
         oracle = dataclasses.replace(cat)
         for f in cat.morphisms:
             cone = limit(cat, cospan_diagram(cat, f, f))
-            oracle._pullback_table[(f, f)] = None if cone is None else \
+            oracle._pullback_table[_pullback_key(cat, f, f)] = None if cone is None else \
                 PullbackSquare(cone.apex, cone.legs[0], cone.legs[1])
         for f in cat.morphisms:
             assert is_effective_epi(cat, f) == is_effective_epi(oracle, f), (name, f)

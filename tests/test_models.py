@@ -22,7 +22,7 @@ from finsite.presheaf import ay
 from finsite.site import Family, SiteSpec
 
 from helpers import (boolean_leq, cospan_only_category, discrete2_category,
-                     fork_category, grid_leq, involution_category,
+                     equalized_fork_category, fork_category, grid_leq, involution_category,
                      iso_pair_category, left_zero_monoid, poset_site, posets,
                      random_covers_site, slow_is_lex, slow_models,
                      slow_preserves_covers, slow_enumerate_functors)
@@ -411,3 +411,64 @@ def test_five_point_boolean_sites_have_six_models_and_32_lex_functors():
             == [fn for fn in lex if preserves_covers(fn, site)]
         assert lex == sorted(lex, key=lambda fn: fn.sizes)
 
+
+
+def _chain_leq(n):
+    return [[i <= j for j in range(n)] for i in range(n)]
+
+
+# name -> (category, bounds) on whose every functor is_lex is checked
+LEX_CHECK_CASES = {
+    "bool_2": (poset_category(boolean_leq(2)), (1, 2)),
+    "chain_4": (poset_category(_chain_leq(4)), (1, 2)),
+    "iso_pair": (iso_pair_category(), (1, 2, 3)),
+    "pbool_3": (poset_category(_punctured_boolean_leq(3)), (1,)),
+    "fork": (fork_category(), (1, 2)),
+    "equalized_fork": (equalized_fork_category(), (1, 2)),
+    "involution": (involution_category(), (1, 2)),
+    "left_zero_monoid": (left_zero_monoid(), (1, 2)),
+}
+
+
+def _is_lex_verdicts(cat, bounds, name=""):
+    """``is_lex``, which checks only the ``_lex_checks`` squares, gives the
+    verdict of ``slow_is_lex``, which checks every square, on every functor
+    with carriers within the bounds; returns the verdicts seen."""
+    verdicts = set()
+    for bound in bounds:
+        for fn in enumerate_set_functors(cat, bound):
+            verdict = slow_is_lex(cat, fn)
+            assert is_lex(cat, fn) == verdict, (name, fn.sizes, fn.action)
+            verdicts.add(verdict)
+    return verdicts
+
+
+def test_is_lex_agrees_with_every_square_on_every_functor():
+    for name, (cat, bounds) in LEX_CHECK_CASES.items():
+        expected = {False} if name == "left_zero_monoid" else {False, True}
+        assert _is_lex_verdicts(cat, bounds, name) == expected, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_objects=3))
+def test_is_lex_agrees_with_every_square_on_random_posets_with_a_top(leq):
+    assert True in _is_lex_verdicts(poset_category(_with_top(leq)), (1, 2))
+
+
+def test_lex_checks_are_one_square_per_unordered_cospan():
+    """bool_4 checks its 136 binary products, one per unordered pair of
+    objects, all over the top, of its 625 squares.  A category that is not
+    thin keeps one of the squares of (f, g) and (g, f), the diagonal
+    included."""
+    cat = poset_category(boolean_leq(4))
+    terminal, squares = _lex_probes(cat)
+    assert models._lex_checks(cat)[0] == terminal == 15
+    checks = models._lex_checks(cat)[1]
+    assert len(squares) == 625 and len(checks) == 136
+    assert all(cat.cod[f] == terminal and f <= g for f, g, _ in checks)
+    for make in (fork_category, equalized_fork_category, involution_category,
+                 left_zero_monoid):
+        cat = make()
+        terminal, squares = _lex_probes(cat)
+        assert models._lex_checks(cat) \
+            == (terminal, tuple(s for s in squares if s[0] <= s[1]))
