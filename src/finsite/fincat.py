@@ -8,7 +8,6 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,8 +15,6 @@ UNDEFINED = -1
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
-
-_SIEVE_TABLES = weakref.WeakKeyDictionary()  # category -> its sieve table
 
 
 @dataclass(frozen=True)
@@ -120,15 +117,13 @@ class FinCategory:
 
     @cached_property
     def _sieve_table(self) -> dict:
-        """y -> every sieve on y, filled by site.all_sieves.  Equal categories
-        (one site parsed twice) share one table while the first of them
-        lives, so they share their sieves too; the category is hashed once."""
-        return _SIEVE_TABLES.setdefault(self, {})
+        """y -> every sieve on y, filled by site.all_sieves."""
+        return {}
 
     @cached_property
     def _lex_probe_table(self) -> dict:
-        """The terminal object with every pullback square, and the squares
-        is_lex checks, filled by models._lex_probes and models._lex_checks."""
+        """The terminal object and the pullback squares that generate the
+        finite limits, filled by models._lex_probes."""
         return {}
 
     def is_identity(self, f: int) -> bool:

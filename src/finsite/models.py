@@ -32,45 +32,30 @@ class Model:
 
 
 def _lex_probes(cat: FinCategory):
-    """Terminal object plus one canonical pullback square per cospan.
+    """Terminal object plus one canonical pullback square per unordered
+    cospan: (f, g, square) for f <= g by id, since the squares of (f, g)
+    and (g, f) are isomorphic limits.  At fixture scale these generate all
+    finite limits; binary products are the cospans over the terminal object.
 
-    At fixture scale these generate all finite limits; binary products are
-    the cospans over the terminal object.
+    On a thin category with a terminal object T only the cospans into T are
+    kept.  Limits there are meets, so the pullback of a -> y <- b has the
+    apex a ∧ b of the product.  A functor F that preserves that product
+    preserves the pullback too: the set-level fiber product sits inside
+    F(a) × F(b), which the image of F(a ∧ b) already fills.
     """
     table = cat._lex_probe_table
     if "probes" not in table:
         terminal = limits.terminal_object(cat)
+        products_only = terminal is not None and cat._thin
         squares = []
-        for f in cat.morphisms:
-            for g in cat.morphisms:
-                if cat.cod[f] != cat.cod[g]:
-                    continue
+        for f in cat.into(terminal) if products_only else cat.morphisms:
+            into = cat.into(cat.cod[f])
+            for g in into[into.index(f):]:
                 square = limits.pullback(cat, f, g)
                 if square is not None:
                     squares.append((f, g, square))
         table["probes"] = (terminal, tuple(squares))
     return table["probes"]
-
-
-def _lex_checks(cat: FinCategory):
-    """Terminal object plus the ``_lex_probes`` squares that ``is_lex``
-    checks: one per unordered cospan, f <= g by id, since the squares of
-    (f, g) and (g, f) are isomorphic limits.
-
-    On a thin category with a terminal object T only the cospans into T
-    are kept.  Limits there are meets, so the pullback of a -> y <- b has
-    the apex a ∧ b of the product.  A functor F that preserves that
-    product preserves the pullback too: the set-level fiber product sits
-    inside F(a) × F(b), which the image of F(a ∧ b) already fills.
-    """
-    table = cat._lex_probe_table
-    if "checks" not in table:
-        terminal, squares = _lex_probes(cat)
-        products_only = terminal is not None and cat._thin
-        table["checks"] = (terminal, tuple(
-            (f, g, square) for f, g, square in squares
-            if f <= g and not (products_only and cat.cod[f] != terminal)))
-    return table["checks"]
 
 
 def _square_holds(action, f, g, square) -> bool:
@@ -88,11 +73,11 @@ def is_lex(cat: FinCategory, m: SetValuedFunctor) -> bool:
     """m sends the terminal object to a point and every canonical pullback
     square to a bijection onto the set-level fiber product.
 
-    Only the squares of ``_lex_checks`` are checked; the others hold with
+    Only the squares of ``_lex_probes`` are checked; the others hold with
     them."""
     if m.variance != COVARIANT:
         raise ValueError("lexness is checked for covariant functors")
-    terminal, squares = _lex_checks(cat)
+    terminal, squares = _lex_probes(cat)
     if terminal is None or m.sizes[terminal] != 1:
         return False
     return all(_square_holds(m.action, f, g, square) for f, g, square in squares)
@@ -476,25 +461,27 @@ def eta_check(site: SiteSpec, m: SetValuedFunctor) -> bool:
 
     The canonical comparison sends p to the class of (x, unit(id_x), p);
     bijectivity at every x plus naturality along every base morphism is the
-    finite content of the eta-is-iso claim.
+    finite content of the eta-is-iso claim.  Along f: x -> y the induced
+    map sends the class of (x, generic, p) to the class of
+    (x, a(f_*)(generic), p) in the Lan at y, so each Lan is computed once.
     """
-    from .presheaf import ay
+    from .presheaf import ay, sheafified_postcompose
     cat = site.cat
     lans = {}
+    generic = {}
     can = {}
     for x in cat.objects:
         sh = ay(site, x)
         lans[x] = lan_ay(m, sh.sheaf.presheaf)
         id_pos = cat.hom(x, x).index(cat.identity[x])
-        generic = sh.unit.components[x][id_pos]
-        can[x] = [lans[x].class_of(x, generic, p) for p in m.carrier(x)]
+        generic[x] = sh.unit.components[x][id_pos]
+        can[x] = [lans[x].class_of(x, generic[x], p) for p in m.carrier(x)]
         if len(set(can[x])) != m.sizes[x] or lans[x].size != m.sizes[x]:
             return False
     for f in cat.morphisms:
         x, y = cat.dom[f], cat.cod[f]
-        from .presheaf import sheafified_postcompose
-        pushed = lan_map(m, sheafified_postcompose(site, f))
+        pushed = sheafified_postcompose(site, f).components[x][generic[x]]
         for p in m.carrier(x):
-            if pushed[can[x][p]] != can[y][m.action[f][p]]:
+            if lans[y].class_of(x, pushed, p) != can[y][m.action[f][p]]:
                 return False
     return True

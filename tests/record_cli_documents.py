@@ -4,11 +4,13 @@ The chase cases are ``separate --json`` for every pair of subobjects of the
 top of every fixture, at ``--width 0`` and ``--width 1``, and ``chase --json``
 from every object of every fixture.  The eventual cases are
 ``delta-check --json`` and ``eta-check --json`` on two non-thin sites that
-are not fixtures: the involution at bounds 1-3 and the fork at bounds 1-2,
-each written to a temporary file.  The thin cases are ``models --json`` on
-poset sites named and covered as the benchmark's ladder writes them: bool_4,
-pbool_4 and bool_5 at bound 1, pbool_3 and chain_6 at bound 2.  Each
-document is kept as its exit code and the SHA-256 of its stdout bytes.
+are not fixtures, the involution at bounds 1-3 and the fork at bounds 1-2,
+and on two poset sites, chain_6 at bound 2 and bool_3 at bound 1.  The thin
+cases are ``models --json`` on bool_4, pbool_4 and bool_5 at bound 1,
+pbool_3 and chain_6 at bound 2.  The poset sites are named and covered as
+the benchmark's ladder writes them; every site that is not a fixture is
+written to a temporary file.  Each document is kept as its exit code and
+the SHA-256 of its stdout bytes.
 
 Run from the root of a checkout, only when a change to the chase, the
 eventual or the models output is intended:
@@ -58,17 +60,21 @@ def chase_cli_cases() -> list[tuple[str, ...]]:
     return cases
 
 
-# name -> (category, the object whose identity is its one cover, bounds)
+# name -> (category, the object whose identity is its one cover)
 EVENTUAL_SITES = {
-    "involution": (involution_category, "T", (1, 2, 3)),
-    "fork": (fork_category, "z", (1, 2)),
+    "involution": (involution_category, "T"),
+    "fork": (fork_category, "z"),
 }
+
+# site name -> bounds of the delta-check and eta-check cases
+EVENTUAL_BOUNDS = {"involution": (1, 2, 3), "fork": (1, 2),
+                   "chain_6": (2,), "bool_3": (1,)}
 
 
 def eventual_cli_cases() -> list[tuple[str, ...]]:
     """argv tuples, with the site file given by its name."""
     return [(command, f"{name}.site", "--bound", str(bound), "--json")
-            for name, (_, _, bounds) in EVENTUAL_SITES.items()
+            for name, bounds in EVENTUAL_BOUNDS.items()
             for bound in bounds
             for command in ("delta-check", "eta-check")]
 
@@ -84,28 +90,33 @@ def _boolean(k, punctured=False):
             [[a & b == a for b in elements] for a in elements])
 
 
-# name -> ((object names, leq matrix), bounds) of the thin models cases
-MODELS_SITES = {
-    "bool_4": (lambda: _boolean(4), (1,)),
-    "pbool_4": (lambda: _boolean(4, punctured=True), (1,)),
-    "pbool_3": (lambda: _boolean(3, punctured=True), (2,)),
-    "chain_6": (lambda: _chain(6), (2,)),
-    "bool_5": (lambda: _boolean(5), (1,)),
+# name -> (object names, leq matrix) of the poset sites
+POSET_SITES = {
+    "bool_3": lambda: _boolean(3),
+    "bool_4": lambda: _boolean(4),
+    "pbool_4": lambda: _boolean(4, punctured=True),
+    "pbool_3": lambda: _boolean(3, punctured=True),
+    "chain_6": lambda: _chain(6),
+    "bool_5": lambda: _boolean(5),
 }
+
+# site name -> bounds of the thin models cases
+MODELS_BOUNDS = {"bool_4": (1,), "pbool_4": (1,), "pbool_3": (2,),
+                 "chain_6": (2,), "bool_5": (1,)}
 
 
 def models_cli_cases() -> list[tuple[str, ...]]:
     """argv tuples, with the site file given by its name."""
     return [("models", f"{name}.site", "--bound", str(bound), "--json")
-            for name, (_, bounds) in MODELS_SITES.items() for bound in bounds]
+            for name, bounds in MODELS_BOUNDS.items() for bound in bounds]
 
 
 def write_sites(directory) -> dict[str, str]:
-    """Print each eventual and models site into ``directory``; file name ->
-    path."""
+    """Print each site that is not a fixture into ``directory``; file name
+    -> path."""
     sites = {name: top_covered_site(make(), top)
-             for name, (make, top, _) in EVENTUAL_SITES.items()}
-    for name, (make, _) in MODELS_SITES.items():
+             for name, (make, top) in EVENTUAL_SITES.items()}
+    for name, make in POSET_SITES.items():
         names, leq = make()
         sites[name] = poset_site(leq, names)
     paths = {}

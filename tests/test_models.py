@@ -6,18 +6,18 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsite import fixtures, models
+from finsite import fixtures, limits, models
 from finsite.fincat import (COVARIANT, SetValuedFunctor,
                             all_nat_transformations, poset_category,
                             validate_set_functor)
 from finsite.eventual import NatTable
 from finsite.models import (ModelBound, _lex_probes, _square_holds,
-                            enumerate_lex_functors,
+                            elements_category, enumerate_lex_functors,
                             enumerate_models, enumerate_set_functors,
                             eta_check, lan_ay, lan_map, lex_hull,
                             nat_via_limit, is_lex, preserves_covers,
                             subfunctor)
-from finsite.limits import pullback
+from finsite.limits import pullback, terminal_object
 from finsite.presheaf import ay
 from finsite.site import Family, SiteSpec
 
@@ -290,12 +290,22 @@ def test_size_search_meets_only_the_up_sets():
     assert seen == up_sets and len(seen) == 168
 
 
+def _every_square(cat):
+    """The terminal object and the canonical square of every cospan that has
+    a pullback, (f, g) ascending: the squares ``_lex_probes`` keeps and
+    those that hold with them."""
+    squares = ((f, g, pullback(cat, f, g))
+               for f in cat.morphisms for g in cat.into(cat.cod[f]))
+    return terminal_object(cat), tuple(s for s in squares if s[2] is not None)
+
+
 def _general_path(site, bound):
     """Lex functors and models from the backtracking search alone, as
     ``enumerate_lex_functors`` and ``enumerate_models`` find them on a
-    category that is not thin."""
+    category that is not thin.  The search reads every square: those over
+    objects below the top say which arrows are mono, which prunes it."""
     cat = site.cat
-    terminal, squares = _lex_probes(cat)
+    terminal, squares = _every_square(cat)
     empty = [fam.codomain for fam in site.covers if not fam.legs]
     lex = [fn for fn in enumerate_set_functors(
                cat, bound, lambda sizes: sizes[terminal] == 1, squares)
@@ -431,7 +441,7 @@ LEX_CHECK_CASES = {
 
 
 def _is_lex_verdicts(cat, bounds, name=""):
-    """``is_lex``, which checks only the ``_lex_checks`` squares, gives the
+    """``is_lex``, which checks only the ``_lex_probes`` squares, gives the
     verdict of ``slow_is_lex``, which checks every square, on every functor
     with carriers within the bounds; returns the verdicts seen."""
     verdicts = set()
@@ -455,20 +465,52 @@ def test_is_lex_agrees_with_every_square_on_random_posets_with_a_top(leq):
     assert True in _is_lex_verdicts(poset_category(_with_top(leq)), (1, 2))
 
 
-def test_lex_checks_are_one_square_per_unordered_cospan():
-    """bool_4 checks its 136 binary products, one per unordered pair of
-    objects, all over the top, of its 625 squares.  A category that is not
-    thin keeps one of the squares of (f, g) and (g, f), the diagonal
+NON_POSET_CATEGORIES = (fork_category, equalized_fork_category, involution_category,
+                        left_zero_monoid, iso_pair_category)
+
+
+def test_lex_probes_are_one_square_per_unordered_cospan():
+    """``_lex_probes`` keeps, in order, the squares of the cospans f <= g
+    by id, and on a thin category with a terminal object only those into
+    it: 136 binary products on bool_4 and 528 on bool_5.  A category that
+    is not thin keeps one of the squares of (f, g) and (g, f), the diagonal
     included."""
-    cat = poset_category(boolean_leq(4))
-    terminal, squares = _lex_probes(cat)
-    assert models._lex_checks(cat)[0] == terminal == 15
-    checks = models._lex_checks(cat)[1]
-    assert len(squares) == 625 and len(checks) == 136
-    assert all(cat.cod[f] == terminal and f <= g for f, g, _ in checks)
-    for make in (fork_category, equalized_fork_category, involution_category,
-                 left_zero_monoid):
-        cat = make()
-        terminal, squares = _lex_probes(cat)
-        assert models._lex_checks(cat) \
-            == (terminal, tuple(s for s in squares if s[0] <= s[1]))
+    cats = {"bool_4": poset_category(boolean_leq(4)),
+            "bool_5": poset_category(boolean_leq(5)),
+            "pbool_4": poset_category(_punctured_boolean_leq(4))}
+    cats.update((name, site.cat) for name, site in ALL_SITES.items())
+    cats.update((make.__name__, make()) for make in NON_POSET_CATEGORIES)
+    for name, cat in cats.items():
+        terminal, squares = _every_square(cat)
+        products_only = terminal is not None and cat._thin
+        assert _lex_probes(cat) == (terminal, tuple(
+            (f, g, square) for f, g, square in squares
+            if f <= g and not (products_only and cat.cod[f] != terminal))), name
+    assert [len(_lex_probes(cats[name])[1]) for name in ("bool_4", "bool_5")] \
+        == [136, 528]
+
+
+def test_lex_probes_ask_for_one_pullback_per_product_on_bool_5(monkeypatch):
+    calls = []
+    original = limits.pullback
+    monkeypatch.setattr(limits, "pullback",
+                        lambda cat, f, g: calls.append((f, g)) or original(cat, f, g))
+    _lex_probes(poset_category(boolean_leq(5)))
+    assert len(calls) == len(set(calls)) == 528
+
+
+def test_lex_hull_is_the_same_under_every_square(monkeypatch):
+    """``lex_hull`` closes each one-point seed of each functor with carriers
+    of at most two points (one on wide5) under the ``_lex_probes`` squares
+    to the hull that every cospan's square gives."""
+    sites = list(ALL_SITES.values()) + [_site_on(make()) for make in NON_POSET_CATEGORIES]
+    cases = []
+    for site in sites:
+        bound = 1 if site.cat.n_objects > 4 else 2
+        for fn in enumerate_set_functors(site.cat, bound):
+            for x, e in elements_category(fn):
+                cases.append((site, fn, {x: (e,)}))
+    hulls = [lex_hull(*case) for case in cases]
+    monkeypatch.setattr(models, "_lex_probes", _every_square)
+    assert [lex_hull(*case) for case in cases] == hulls
+    assert len(cases) > 1000
