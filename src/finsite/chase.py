@@ -5,10 +5,9 @@ cover detection.
 Budgets are honest: BUDGET_EXCEEDED is a first-class outcome and no colimit
 is ever extrapolated from an unfinished branch.
 
-The per-site tables (task lists and their stage-stamped columns, dead and
-stable objects, verified branch colimits, explored cotrees) live in
-``SiteSpec._table``, filled here on first use, so a chase step never
-hashes the site.
+The per-site tables (task lists, dead and stable objects, verified branch
+colimits, explored cotrees) live in ``SiteSpec._table``, filled here on
+first use, so a chase step never hashes the site.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ def unpairing(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Task:
-    stage: int    # column the task was enqueued in
-    arrow: int    # u_stage -> y
+    arrow: int    # u -> y, u the object whose task list holds the task
     family: Family
 
 
@@ -57,7 +55,7 @@ class ChaseBranch:
     root: int
     chain: tuple[tuple[int, int], ...]    # (object, connecting mor into previous)
     choices: tuple[tuple[int, int], ...]  # per solved step: (task index, leg index)
-    columns: tuple[tuple[Task, ...], ...]
+    columns: tuple[tuple[Task, ...], ...]  # column n: the task list of u_n
     status: str
 
     @property
@@ -92,19 +90,8 @@ def _task_list(site: SiteSpec, u: int) -> tuple[Task, ...]:
     if key not in table:
         cat = site.cat
         fams = nonempty_covers(site)
-        table[key] = tuple(Task(-1, arrow, fam) for arrow in cat.out_of(u)
+        table[key] = tuple(Task(arrow, fam) for arrow in cat.out_of(u)
                            for fam in fams if fam.codomain == cat.cod[arrow])
-    return table[key]
-
-
-def _task_column(site: SiteSpec, u: int, stage: int) -> tuple[Task, ...]:
-    """Column ``stage`` of a branch whose newest object is u: T_u stamped
-    with the stage.  It depends on nothing else, so every branch shares it."""
-    table = site._table
-    key = ("column", u, stage)
-    if key not in table:
-        table[key] = tuple(Task(stage, t.arrow, t.family)
-                           for t in _task_list(site, u))
     return table[key]
 
 
@@ -148,8 +135,10 @@ def _stabilized_objects(site: SiteSpec) -> frozenset[int]:
     return table["stable"]
 
 
-def solve_task(site: SiteSpec, branch_chain, task: Task, leg_index: int):
-    """One pullback step: refine the newest object along the chosen leg.
+def solve_task(site: SiteSpec, branch_chain, stage: int, task: Task, leg_index: int):
+    """One pullback step: refine the newest object along the chosen leg of
+    a task from column ``stage``, whose arrow starts at the object of that
+    stage.
 
     When the composite already factors through the chosen leg the stage is an
     identity stage: the pullback would be an iso anyway, and identity stages
@@ -160,7 +149,7 @@ def solve_task(site: SiteSpec, branch_chain, task: Task, leg_index: int):
         raise ValueError("leg index out of range")
     leg = task.family.legs[leg_index]
     current = branch_chain[-1][0]
-    composite = _composite_to(cat, branch_chain, task.stage)
+    composite = _composite_to(cat, branch_chain, stage)
     arrow = cat.comp[task.arrow][composite]  # current -> y
     if cat.factors_through(arrow, leg) is not None:
         return current, cat.identity[current]
@@ -204,19 +193,14 @@ def _continue_branch(site: SiteSpec, root: int, chain: list, columns: list,
                 and cat.is_identity(chain[-1][1]) and u in stable:
             status = STABILIZED
             break
-        columns.append(_task_column(site, u, n))
+        columns.append(_task_list(site, u))
         alpha, beta = unpairing(n)
         column = columns[beta]
         if not column:
             raise ValueError("empty task list; the site is missing id: 1 -> 1")
         task = column[alpha % len(column)]
-        if explicit is None:
-            leg_index = 0
-        elif len(choices) < len(explicit):
-            leg_index = explicit[len(choices)] % len(task.family.legs)
-        else:
-            leg_index = 0
-        obj, connect = solve_task(site, chain, task, leg_index)
+        leg_index = explicit[len(choices)] % len(task.family.legs) if deferred else 0
+        obj, connect = solve_task(site, chain, beta, task, leg_index)
         chain.append((obj, connect))
         choices.append((alpha % len(column), leg_index))
     return ChaseBranch(site, root, tuple(chain), tuple(choices),

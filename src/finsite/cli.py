@@ -63,10 +63,9 @@ def _resolve_subobject(cat, x, name):
     raise ValueError(f"{name!r} does not name a subobject of {cat.obj_name(x)}")
 
 
-def _load(path):
+def _read(path) -> str:
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    return text, parse_document(text)
+        return handle.read()
 
 
 def _require_site(parsed) -> SiteSpec:
@@ -76,10 +75,8 @@ def _require_site(parsed) -> SiteSpec:
 
 
 def cmd_check(args, text, parsed):
-    if isinstance(parsed, SiteSpec):
-        violations = site_mod.validate_site(parsed)
-    else:
-        violations = lattice.validate_lattice(parsed[0])
+    """``parsed`` is the document, or the ``ValidationError`` it raised."""
+    violations = parsed.violations if isinstance(parsed, ValidationError) else []
     result = {"valid": not violations, "violations": violations}
     code = EXIT_OK if not violations else EXIT_REFUTED
     return code, result, list(violations), {}
@@ -351,8 +348,13 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     command = args.command
     try:
-        text, parsed = _load(args.file)
-    except (OSError, ParseError, ValidationError) as exc:
+        text = _read(args.file)
+        parsed = parse_document(text)
+    except ValidationError as exc:
+        if command != "check":  # check reports a well-formed file that fails validation
+            return _input_error(args, command, str(exc))
+        parsed = exc
+    except (OSError, ParseError) as exc:
         return _input_error(args, command, str(exc))
     try:
         code, result, witnesses, timings = HANDLERS[command](args, text, parsed)

@@ -117,13 +117,14 @@ class FinCategory:
 
     @cached_property
     def _sieve_table(self) -> dict:
-        """y -> every sieve on y, filled by site.all_sieves."""
+        """(y, mask of a sieve S on y) -> every sieve on y that contains S,
+        filled by site.sieves_containing."""
         return {}
 
     @cached_property
     def _lex_probe_table(self) -> dict:
         """The terminal object and the pullback squares that generate the
-        finite limits, filled by models._lex_probes."""
+        finite limits, filled by limits._lex_probes."""
         return {}
 
     def is_identity(self, f: int) -> bool:

@@ -1,110 +1,16 @@
 """Finite limits, subobject lattices, image factorizations and
-extremal/effective-epi detection.
+extremal/effective-epi detection, all read off the hom tables.
 
-Pullbacks and the terminal object are read straight off the hom tables.
-General limits (and the oracle for those two) use the exhaustive
-terminal-cone search of ``limit``."""
+Each universal property has one predicate, ``is_pullback`` and
+``is_coequalizer``; the searches and checks all use it.  ``_lex_probes``
+lists what a lex functor must preserve.  The exhaustive cone search is the
+oracle in ``tests/helpers.py``."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCategory, FunctorData, NatTransData, SetValuedFunctor
-from .fincat import is_mono, make_category, validate_functor
-
-# the shapes • -> • <- • and • ⇉ •, built once
-COSPAN_SHAPE = make_category(3, [(0, 2), (1, 2)], {})
-PARALLEL_PAIR_SHAPE = make_category(2, [(0, 1), (0, 1)], {})
-
-
-@dataclass(frozen=True)
-class Diagram:
-    shape: FinCategory
-    labeling: FunctorData
-
-    def __post_init__(self):
-        if self.labeling.source != self.shape:
-            raise ValueError("labeling does not start at the shape")
-
-
-@dataclass(frozen=True)
-class Cone:
-    apex: int
-    legs: tuple[int, ...]  # one leg per shape object
-
-
-def empty_diagram(cat: FinCategory) -> Diagram:
-    shape = FinCategory(dom=(), cod=(), identity=(), comp=())
-    return Diagram(shape, FunctorData(shape, cat, (), ()))
-
-
-def discrete_diagram(cat: FinCategory, objs) -> Diagram:
-    objs = tuple(objs)
-    n = len(objs)
-    shape = FinCategory(
-        dom=tuple(range(n)), cod=tuple(range(n)),
-        identity=tuple(range(n)),
-        comp=tuple(tuple(f if g == f else -1 for f in range(n)) for g in range(n)))
-    return Diagram(shape, FunctorData(shape, cat, objs, tuple(cat.identity[x] for x in objs)))
-
-
-def cospan_diagram(cat: FinCategory, f: int, g: int) -> Diagram:
-    """Shape • -> • <- • labeled by f: a -> c and g: b -> c."""
-    if cat.cod[f] != cat.cod[g]:
-        raise ValueError("cospan legs must share a codomain")
-    a, b, c = cat.dom[f], cat.dom[g], cat.cod[f]
-    return Diagram(COSPAN_SHAPE, FunctorData(
-        COSPAN_SHAPE, cat, (a, b, c),
-        (cat.identity[a], cat.identity[b], cat.identity[c], f, g)))
-
-
-def parallel_pair_diagram(cat: FinCategory, f: int, g: int) -> Diagram:
-    if cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
-        raise ValueError("morphisms are not parallel")
-    x, y = cat.dom[f], cat.cod[f]
-    return Diagram(PARALLEL_PAIR_SHAPE, FunctorData(
-        PARALLEL_PAIR_SHAPE, cat, (x, y), (cat.identity[x], cat.identity[y], f, g)))
-
-
-def cones(cat: FinCategory, diagram: Diagram):
-    """All cones on the diagram, ascending by (apex, legs)."""
-    shape, lab = diagram.shape, diagram.labeling
-    out = []
-    for apex in cat.objects:
-        choices = [cat.hom(apex, lab.obj_map[i]) for i in shape.objects]
-        for legs in itertools.product(*choices):
-            ok = True
-            for m in shape.morphisms:
-                i, j = shape.dom[m], shape.cod[m]
-                if cat.comp[lab.mor_map[m]][legs[i]] != legs[j]:
-                    ok = False
-                    break
-            if ok:
-                out.append(Cone(apex, legs))
-    return out
-
-
-def factorizations(cat: FinCategory, cone_from: Cone, cone_to: Cone):
-    """Morphisms h: apex(cone_from) -> apex(cone_to) with legs_to ∘ h = legs_from."""
-    return [h for h in cat.hom(cone_from.apex, cone_to.apex)
-            if all(cat.comp[leg][h] == cone_from.legs[i]
-                   for i, leg in enumerate(cone_to.legs))]
-
-
-def limit(cat: FinCategory, diagram: Diagram):
-    """Terminal cone on the diagram, or None.
-
-    Of the terminal cones (all mutually isomorphic) the first in ascending
-    (apex, legs) order is returned, so repeated runs agree on ids.
-    """
-    if validate_functor(diagram.labeling):
-        raise ValueError("invalid diagram labeling")
-    all_cones = cones(cat, diagram)
-    for cone in all_cones:
-        if all(len(factorizations(cat, other, cone)) == 1 for other in all_cones):
-            return cone
-    return None
+from .fincat import FinCategory, NatTransData, SetValuedFunctor, is_mono
 
 
 @dataclass(frozen=True)
@@ -115,14 +21,9 @@ class PullbackSquare:
 
 
 def pullback(cat: FinCategory, f: int, g: int):
-    """Canonical pullback of the cospan (f, g), or None if absent.
-
-    The square is the cone ``limit(cat, cospan_diagram(cat, f, g))`` returns,
-    found without building the diagram or listing cones.  A cone (p, q) on
-    apex x is terminal iff, for every w, h |-> (p∘h, q∘h) maps hom(w, x)
-    bijectively onto the cones over w.  So only an apex whose hom-count
-    column equals the cone counts can carry one, and on such an apex the
-    map is a bijection as soon as it is injective.
+    """Canonical pullback of the cospan (f, g), or None if absent: the
+    least-apex, then least-legs, cone that ``is_pullback`` accepts, which is
+    the terminal cone the exhaustive search meets first.
 
     On a thin category the square depends on the leg domains alone: the
     cone counts, so the apex, and the unique legs are all read off
@@ -146,22 +47,51 @@ def _pullback_key(cat: FinCategory, f: int, g: int):
     return cat.dom[f], cat.dom[g]
 
 
+def _cone_counts(cat: FinCategory, f: int, g: int) -> list[int]:
+    """w -> the number of cones (p, q) with apex w over the cospan (f, g)."""
+    a, b = cat.dom[f], cat.dom[g]
+    comp_f, comp_g = cat.comp[f], cat.comp[g]
+    return [sum(comp_f[p] == comp_g[q] for p in row[a] for q in row[b])
+            for row in cat._hom_table]
+
+
+def _terminal_cone(cat: FinCategory, counts: list[int], p: int, q: int) -> bool:
+    """A cone (p, q) on x over a cospan with cone counts ``counts`` is
+    terminal iff h |-> (p∘h, q∘h) maps each hom(w, x) bijectively onto the
+    cones on w: iff x's hom-count column is ``counts`` and the map is
+    injective."""
+    x = cat.dom[p]
+    if cat._hom_counts[x] != counts:
+        return False
+    comp_p, comp_q, hom = cat.comp[p], cat.comp[q], cat._hom_table
+    return all(n < 2 or len({(comp_p[h], comp_q[h]) for h in hom[w][x]}) == n
+               for w, n in enumerate(counts))
+
+
+def is_pullback(cat: FinCategory, f: int, g: int, p: int, q: int) -> bool:
+    """The square f∘p = g∘q is a pullback of the cospan (f, g)."""
+    if cat.cod[f] != cat.cod[g]:
+        raise ValueError("cospan legs must share a codomain")
+    if cat.dom[p] != cat.dom[q] or cat.cod[p] != cat.dom[f] or cat.cod[q] != cat.dom[g]:
+        raise ValueError("the legs do not form a cone over the cospan")
+    return cat.comp[f][p] == cat.comp[g][q] \
+        and _terminal_cone(cat, _cone_counts(cat, f, g), p, q)
+
+
 def _pullback_square(cat: FinCategory, f: int, g: int):
+    """The first cone, by (apex, legs), that ``is_pullback`` accepts, trying
+    only the apexes whose column equals the cone counts."""
     if cat.cod[f] != cat.cod[g]:
         raise ValueError("cospan legs must share a codomain")
     a, b = cat.dom[f], cat.dom[g]
-    comp, hom = cat.comp, cat._hom_table
-    comp_f, comp_g = comp[f], comp[g]
-    counts = [sum(comp_f[p] == comp_g[q] for p in row[a] for q in row[b])
-              for row in hom]
+    comp_f, comp_g, hom = cat.comp[f], cat.comp[g], cat._hom_table
+    counts = _cone_counts(cat, f, g)
     for x, column in enumerate(cat._hom_counts):
         if column != counts:
             continue
         for p in hom[x][a]:
             for q in hom[x][b]:
-                if comp_f[p] == comp_g[q] and all(
-                        n < 2 or len({(comp[p][h], comp[q][h]) for h in hom[w][x]}) == n
-                        for w, n in enumerate(counts)):
+                if comp_f[p] == comp_g[q] and _terminal_cone(cat, counts, p, q):
                     return PullbackSquare(x, p, q)
     return None
 
@@ -171,6 +101,36 @@ def terminal_object(cat: FinCategory):
     ones = [1] * cat.n_objects
     return next((x for x, column in enumerate(cat._hom_counts) if column == ones),
                 None)
+
+
+def _lex_probes(cat: FinCategory):
+    """Terminal object plus one canonical pullback square per unordered
+    cospan: (f, g, square) for f <= g by id, since the squares of (f, g)
+    and (g, f) are isomorphic limits.  At fixture scale these generate all
+    finite limits; binary products are the cospans over the terminal object.
+    A functor is lex when it sends the terminal object to a terminal one and
+    each of these squares to a pullback.
+
+    On a thin category with a terminal object T only the cospans into T are
+    kept.  Limits there are meets, so the pullback of a -> y <- b has the
+    apex a ∧ b of the product.  A functor F that preserves that product
+    preserves the pullback too: a cone over F(a) -> F(y) <- F(b) is a pair
+    of arrows into F(a) and F(b), so it factors through F(a ∧ b), and
+    uniquely.
+    """
+    table = cat._lex_probe_table
+    if "probes" not in table:
+        terminal = terminal_object(cat)
+        products_only = terminal is not None and cat._thin
+        squares = []
+        for f in cat.into(terminal) if products_only else cat.morphisms:
+            into = cat.into(cat.cod[f])
+            for g in into[into.index(f):]:
+                square = pullback(cat, f, g)
+                if square is not None:
+                    squares.append((f, g, square))
+        table["probes"] = (terminal, tuple(squares))
+    return table["probes"]
 
 
 def strict_initial(cat: FinCategory):
@@ -239,40 +199,29 @@ def is_extremal_epi_family(cat: FinCategory, y: int, legs) -> bool:
     return True
 
 
+def is_coequalizer(cat: FinCategory, p1: int, p2: int, q: int) -> bool:
+    """q coequalizes the parallel pair (p1, p2) universally: q∘p1 = q∘p2,
+    and every r with r∘p1 = r∘p2 is h∘q for exactly one h."""
+    if cat.dom[q] != cat.cod[p1]:
+        raise ValueError("q does not start at the codomain of the pair")
+    comp = cat.comp
+    return comp[q][p1] == comp[q][p2] and all(
+        sum(comp[h][q] == r for h in cat.hom(cat.cod[q], cat.cod[r])) == 1
+        for r in cat.out_of(cat.dom[q]) if comp[r][p1] == comp[r][p2])
+
+
 def coequalizer(cat: FinCategory, p1: int, p2: int):
-    """Initial coequalizing morphism of the parallel pair, or None."""
+    """The least-id coequalizer of the parallel pair, or None."""
     if cat.dom[p1] != cat.dom[p2] or cat.cod[p1] != cat.cod[p2]:
         raise ValueError("not a parallel pair")
-    x = cat.cod[p1]
-    candidates = [q for q in cat.out_of(x) if cat.comp[q][p1] == cat.comp[q][p2]]
-    for q in candidates:
-        ok = True
-        for r in candidates:
-            hs = [h for h in cat.hom(cat.cod[q], cat.cod[r])
-                  if cat.comp[h][q] == r]
-            if len(hs) != 1:
-                ok = False
-                break
-        if ok:
-            return q
-    return None
+    return next((q for q in cat.out_of(cat.cod[p1]) if is_coequalizer(cat, p1, p2, q)),
+                None)
 
 
 def is_effective_epi(cat: FinCategory, f: int) -> bool:
     """f is a coequalizer of its kernel pair (False when the pair is absent)."""
     square = pullback(cat, f, f)
-    if square is None:
-        return False
-    p1, p2 = square.to_left, square.to_right
-    if cat.comp[f][p1] != cat.comp[f][p2]:
-        return False
-    for r in cat.out_of(cat.dom[f]):
-        if cat.comp[r][p1] != cat.comp[r][p2]:
-            continue
-        hs = [h for h in cat.hom(cat.cod[f], cat.cod[r]) if cat.comp[h][f] == r]
-        if len(hs) != 1:
-            return False
-    return True
+    return square is not None and is_coequalizer(cat, square.to_left, square.to_right, f)
 
 
 def image_factorization_abstract(cat: FinCategory, f: int):

@@ -31,33 +31,6 @@ class Model:
     preserves_covers: bool
 
 
-def _lex_probes(cat: FinCategory):
-    """Terminal object plus one canonical pullback square per unordered
-    cospan: (f, g, square) for f <= g by id, since the squares of (f, g)
-    and (g, f) are isomorphic limits.  At fixture scale these generate all
-    finite limits; binary products are the cospans over the terminal object.
-
-    On a thin category with a terminal object T only the cospans into T are
-    kept.  Limits there are meets, so the pullback of a -> y <- b has the
-    apex a ∧ b of the product.  A functor F that preserves that product
-    preserves the pullback too: the set-level fiber product sits inside
-    F(a) × F(b), which the image of F(a ∧ b) already fills.
-    """
-    table = cat._lex_probe_table
-    if "probes" not in table:
-        terminal = limits.terminal_object(cat)
-        products_only = terminal is not None and cat._thin
-        squares = []
-        for f in cat.into(terminal) if products_only else cat.morphisms:
-            into = cat.into(cat.cod[f])
-            for g in into[into.index(f):]:
-                square = limits.pullback(cat, f, g)
-                if square is not None:
-                    squares.append((f, g, square))
-        table["probes"] = (terminal, tuple(squares))
-    return table["probes"]
-
-
 def _square_holds(action, f, g, square) -> bool:
     """The action tables send the pullback square over the cospan (f, g)
     to a bijection onto the set-level fiber product."""
@@ -73,11 +46,11 @@ def is_lex(cat: FinCategory, m: SetValuedFunctor) -> bool:
     """m sends the terminal object to a point and every canonical pullback
     square to a bijection onto the set-level fiber product.
 
-    Only the squares of ``_lex_probes`` are checked; the others hold with
-    them."""
+    Only the squares of ``limits._lex_probes`` are checked; the others
+    hold with them."""
     if m.variance != COVARIANT:
         raise ValueError("lexness is checked for covariant functors")
-    terminal, squares = _lex_probes(cat)
+    terminal, squares = limits._lex_probes(cat)
     if terminal is None or m.sizes[terminal] != 1:
         return False
     return all(_square_holds(m.action, f, g, square) for f, g, square in squares)
@@ -102,8 +75,9 @@ def enumerate_set_functors(cat: FinCategory, bound: int, prune=None, squares=())
     significant, as ``itertools.product`` gives them), then of the action
     tables of the non-identity morphisms in ascending id.
 
-    ``squares`` holds ``(f, g, square)`` pullback squares, as ``_lex_probes``
-    gives them, that the functor must send to set-level pullbacks.  Size
+    ``squares`` holds ``(f, g, square)`` pullback squares, as
+    ``limits._lex_probes`` gives them, that the functor must send to
+    set-level pullbacks.  Size
     vectors are built object by object, and a prefix is cut as soon as an
     arrow between two decided objects admits no function: from a non-empty
     carrier to an empty one, or to a smaller carrier when a square with
@@ -245,11 +219,11 @@ def _thin_functors(cat: FinCategory, terminal: int, squares, skip=()):
 
 def _lex_candidates(cat: FinCategory, bound: int, skip=()):
     """Functors with carriers <= bound that send the terminal object to a
-    point and every ``_lex_probes`` square to a set-level pullback, with
-    the objects in ``skip`` sent to the empty set, in the enumerator's
+    point and every ``limits._lex_probes`` square to a set-level pullback,
+    with the objects in ``skip`` sent to the empty set, in the enumerator's
     order.  A thin category takes ``_thin_functors``, any other the
     backtracking search."""
-    terminal, squares = _lex_probes(cat)
+    terminal, squares = limits._lex_probes(cat)
     if terminal is None or bound < 1:
         return iter(())
     if cat._thin:
@@ -329,7 +303,7 @@ def lex_hull(site: SiteSpec, m: SetValuedFunctor, seed) -> tuple[tuple[int, ...]
     for x in cat.objects:
         if not all(0 <= e < m.sizes[x] for e in kept[x]):
             raise ValueError("seed escapes the carriers of M")
-    terminal, squares = _lex_probes(cat)
+    terminal, squares = limits._lex_probes(cat)
     changed = True
     while changed:
         changed = False
@@ -343,33 +317,24 @@ def lex_hull(site: SiteSpec, m: SetValuedFunctor, seed) -> tuple[tuple[int, ...]
             if not fam.legs:
                 continue
             for e in list(kept[fam.codomain]):
-                pre = None
-                for leg in fam.legs:
-                    for cand in m.carrier(cat.dom[leg]):
-                        if m.action[leg][cand] == e:
-                            pre = (leg, cand)
-                            break
-                    if pre is not None:
-                        break
-                if pre is not None and pre[1] not in kept[cat.dom[pre[0]]]:
-                    kept[cat.dom[pre[0]]].add(pre[1])
+                pre = next(((cat.dom[leg], cand) for leg in fam.legs
+                            for cand in m.carrier(cat.dom[leg])
+                            if m.action[leg][cand] == e), None)
+                if pre is not None and pre[1] not in kept[pre[0]]:
+                    kept[pre[0]].add(pre[1])
                     changed = True
         if terminal is not None and m.sizes[terminal] == 1 and 0 not in kept[terminal]:
             kept[terminal].add(0)  # the empty compatible family forces the point
             changed = True
         for f, g, square in squares:
-            xa, xb = cat.dom[f], cat.dom[g]
-            for a in list(kept[xa]):
-                for b in list(kept[xb]):
-                    if m.action[f][a] != m.action[g][b]:
-                        continue
-                    for p in m.carrier(square.apex):
-                        if m.action[square.to_left][p] == a \
-                                and m.action[square.to_right][p] == b:
-                            if p not in kept[square.apex]:
-                                kept[square.apex].add(p)
-                                changed = True
-                            break
+            over = list(zip(m.action[square.to_left], m.action[square.to_right]))
+            for a in list(kept[cat.dom[f]]):
+                for b in list(kept[cat.dom[g]]):
+                    if m.action[f][a] == m.action[g][b] and (a, b) in over:
+                        p = over.index((a, b))  # the least apex point over (a, b)
+                        if p not in kept[square.apex]:
+                            kept[square.apex].add(p)
+                            changed = True
     return tuple(tuple(sorted(k)) for k in kept)
 
 

@@ -8,14 +8,14 @@ terminate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import limits
 from .fincat import FinCategory, FunctorData, validate_category, validate_functor
 
-# guard for the per-object sieve enumeration; fixtures stay far below it
+# guard for the per-object sieve enumeration, on the arrows outside the
+# sieve it starts from; fixtures stay far below it
 MAX_ARROWS_FOR_SIEVES = 20
 
 
@@ -52,10 +52,10 @@ class SiteSpec:
     @cached_property
     def _table(self) -> dict:
         """Per-site derived data, filled on first use: the chase's task
-        lists and stage-stamped columns, dead and stable objects, branch
-        colimits and cotrees, and presheaf's sheafified representables and
-        post-compositions.  It lives on the site, not the category, because
-        it depends on the covers."""
+        lists, dead and stable objects, branch colimits and cotrees, and
+        presheaf's sheafified representables and post-compositions.  It
+        lives on the site, not the category, because it depends on the
+        covers."""
         return {}
 
     @cached_property
@@ -232,19 +232,27 @@ def pull_sieve(cat: FinCategory, sieve: Sieve, h: int) -> Sieve:
 
 
 def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
-    """Every sieve on y, as the down-sets of into(y) under factorization.
+    """Every sieve on y, in ``Sieve.sort_key`` order."""
+    return sieves_containing(cat, Sieve(y, frozenset()))
 
-    Take the first undecided arrow f: either keep it with its principal sieve
-    {f∘g}, or drop it with every arrow that f factors through.  Each branch
-    stays consistent with the earlier choices, and the leaves are exactly the
-    down-sets, each reached once.  The result is kept in the category's
-    sieve table.
+
+def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
+    """Every sieve on y = start.target that contains ``start``, in
+    ``Sieve.sort_key`` order: the down-sets of into(y) under factorization.
+
+    Keep start's arrows, then take the first undecided arrow f: either keep
+    it with its principal sieve {f∘g}, or drop it with every arrow that f
+    factors through.  Each leaf is a distinct down-set containing start.
+    Only the arrows outside start count against the guard, and the result
+    is kept in the category's sieve table under (y, mask of start).
     """
+    y = start.target
+    key = (y, _mask(start.arrows))
     table = cat._sieve_table
-    if y in table:
-        return table[y]
+    if key in table:
+        return table[key]
     arrows = cat.into(y)
-    if len(arrows) > MAX_ARROWS_FOR_SIEVES:
+    if len(arrows) - len(start.arrows) > MAX_ARROWS_FOR_SIEVES:
         raise ValueError(f"too many arrows into {y} to enumerate sieves")
     position = {f: i for i, f in enumerate(arrows)}
     below = [0] * len(arrows)  # bit j: arrow j factors through arrow i
@@ -256,7 +264,7 @@ def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
             above[j] |= 1 << i
     everything = (1 << len(arrows)) - 1
     out = []
-    stack = [(0, 0)]  # (kept, dropped)
+    stack = [(_mask(position[f] for f in start.arrows), 0)]  # (kept, dropped)
     while stack:
         kept, dropped = stack.pop()
         undecided = everything & ~(kept | dropped)
@@ -266,8 +274,8 @@ def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
         i = (undecided & -undecided).bit_length() - 1
         stack.append((kept | below[i], dropped))
         stack.append((kept, dropped | above[i]))
-    table[y] = tuple(sorted(out, key=Sieve.sort_key))
-    return table[y]
+    table[key] = tuple(sorted(out, key=Sieve.sort_key))
+    return table[key]
 
 
 @dataclass(frozen=True)
@@ -287,9 +295,9 @@ class SieveTopology:
         return self.least[sieve.target].arrows <= sieve.arrows
 
     def covering_sieves(self, y: int) -> list[Sieve]:
-        """Every covering sieve on y in ``Sieve.sort_key`` order, J₀(y) first."""
-        least = self.least[y].arrows
-        return [sieve for sieve in all_sieves(self.cat, y) if least <= sieve.arrows]
+        """Every covering sieve on y in ``Sieve.sort_key`` order, J₀(y) first:
+        the sieves that contain J₀(y)."""
+        return list(sieves_containing(self.cat, self.least[y]))
 
     @cached_property
     def _plus_table(self) -> dict:
@@ -349,61 +357,25 @@ def family_covers(site: SiteSpec, topology: SieveTopology, fam: Family) -> bool:
     return topology.covers(generated_sieve(site.cat, fam))
 
 
-def preserves_limit_cone(fun: FunctorData, diagram, cone) -> bool:
-    """The image of the given limit cone is again terminal among cones."""
-    cat = fun.target
-    image_diagram = limits.Diagram(diagram.shape, FunctorData(
-        diagram.shape, cat,
-        tuple(fun.obj_map[x] for x in diagram.labeling.obj_map),
-        tuple(fun.mor_map[f] for f in diagram.labeling.mor_map)))
-    image_cone = limits.Cone(fun.obj_map[cone.apex],
-                             tuple(fun.mor_map[leg] for leg in cone.legs))
-    for other in limits.cones(cat, image_diagram):
-        if len(limits.factorizations(cat, other, image_cone)) != 1:
-            return False
-    return True
-
-
-def _generating_diagrams(cat: FinCategory):
-    """Terminal, binary products, equalizers and pullbacks with their limits."""
-    out = []
-    diagram = limits.empty_diagram(cat)
-    cone = limits.limit(cat, diagram)
-    if cone is not None:
-        out.append((diagram, cone))
-    for x, y in itertools.combinations_with_replacement(cat.objects, 2):
-        diagram = limits.discrete_diagram(cat, (x, y))
-        cone = limits.limit(cat, diagram)
-        if cone is not None:
-            out.append((diagram, cone))
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g] and f <= g:
-                diagram = limits.parallel_pair_diagram(cat, f, g)
-                cone = limits.limit(cat, diagram)
-                if cone is not None:
-                    out.append((diagram, cone))
-            if cat.cod[f] == cat.cod[g]:
-                diagram = limits.cospan_diagram(cat, f, g)
-                cone = limits.limit(cat, diagram)
-                if cone is not None:
-                    out.append((diagram, cone))
-    return out
-
-
 def is_site_morphism(fun: FunctorData, source: SiteSpec, target: SiteSpec) -> bool:
-    """fun preserves finite limits and sends E-families to covering families."""
+    """fun is lex and sends E-families to covering families.
+
+    Lex is read off ``limits._lex_probes`` of the source: the image of its
+    terminal object is terminal and the image of each probe square is a
+    pullback.  A source without a terminal object is not a site."""
     if fun.source != source.cat or fun.target != target.cat:
         raise ValueError("functor does not match the given sites")
+    terminal, squares = limits._lex_probes(source.cat)
+    if terminal is None:
+        raise ValueError("the source category has no terminal object")
     if validate_functor(fun):
         return False
-    for diagram, cone in _generating_diagrams(source.cat):
-        if not preserves_limit_cone(fun, diagram, cone):
-            return False
+    cat, obj, mor = target.cat, fun.obj_map, fun.mor_map
+    if cat._hom_counts[obj[terminal]] != [1] * cat.n_objects:
+        return False
+    if not all(limits.is_pullback(cat, mor[f], mor[g], mor[square.to_left],
+                                  mor[square.to_right]) for f, g, square in squares):
+        return False
     topology = site_topology(target)
-    for fam in source.covers:
-        image = Family.make(fun.obj_map[fam.codomain],
-                            [fun.mor_map[f] for f in fam.legs])
-        if not family_covers(target, topology, image):
-            return False
-    return True
+    return all(family_covers(target, topology, Family.make(
+        obj[fam.codomain], [mor[f] for f in fam.legs])) for fam in source.covers)

@@ -20,13 +20,14 @@ from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
                            WITNESS, Cotree, CotreeNode, SeparationResult,
                            branch_colimit, run_branch, unpairing)
 from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
-                            NatTransData, SetValuedFunctor, make_category,
-                            poset_category, validate_set_functor)
+                            FunctorData, NatTransData, SetValuedFunctor,
+                            make_category, poset_category, validate_functor,
+                            validate_set_functor)
 from finsite.lattice import FinLattice, downset_lattice
 from finsite.presheaf import PlusData, _sorted_arrows, matching_families
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
-                          generated_sieve, is_sieve, maximal_sieve, pull_sieve,
-                          pullback_closure)
+                          family_covers, generated_sieve, is_sieve, maximal_sieve,
+                          pull_sieve, pullback_closure, site_topology)
 
 
 def fork_category() -> FinCategory:
@@ -630,3 +631,206 @@ def slow_separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
             assert model.is_lex and model.preserves_covers
             return SeparationResult(WITNESS, model, branch, explored)
     return SeparationResult(INCONCLUSIVE, leaves=explored)
+
+
+# The exhaustive terminal-cone search: the limit oracle.
+
+# the shapes • -> • <- • and • ⇉ •, built once
+COSPAN_SHAPE = make_category(3, [(0, 2), (1, 2)], {})
+PARALLEL_PAIR_SHAPE = make_category(2, [(0, 1), (0, 1)], {})
+
+
+@dataclass(frozen=True)
+class Diagram:
+    shape: FinCategory
+    labeling: FunctorData
+
+    def __post_init__(self):
+        if self.labeling.source != self.shape:
+            raise ValueError("labeling does not start at the shape")
+
+
+@dataclass(frozen=True)
+class Cone:
+    apex: int
+    legs: tuple[int, ...]  # one leg per shape object
+
+
+def empty_diagram(cat: FinCategory) -> Diagram:
+    shape = FinCategory(dom=(), cod=(), identity=(), comp=())
+    return Diagram(shape, FunctorData(shape, cat, (), ()))
+
+
+def discrete_diagram(cat: FinCategory, objs) -> Diagram:
+    objs = tuple(objs)
+    n = len(objs)
+    shape = FinCategory(
+        dom=tuple(range(n)), cod=tuple(range(n)),
+        identity=tuple(range(n)),
+        comp=tuple(tuple(f if g == f else -1 for f in range(n)) for g in range(n)))
+    return Diagram(shape, FunctorData(shape, cat, objs, tuple(cat.identity[x] for x in objs)))
+
+
+def cospan_diagram(cat: FinCategory, f: int, g: int) -> Diagram:
+    """Shape • -> • <- • labeled by f: a -> c and g: b -> c."""
+    if cat.cod[f] != cat.cod[g]:
+        raise ValueError("cospan legs must share a codomain")
+    a, b, c = cat.dom[f], cat.dom[g], cat.cod[f]
+    return Diagram(COSPAN_SHAPE, FunctorData(
+        COSPAN_SHAPE, cat, (a, b, c),
+        (cat.identity[a], cat.identity[b], cat.identity[c], f, g)))
+
+
+def parallel_pair_diagram(cat: FinCategory, f: int, g: int) -> Diagram:
+    if cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
+        raise ValueError("morphisms are not parallel")
+    x, y = cat.dom[f], cat.cod[f]
+    return Diagram(PARALLEL_PAIR_SHAPE, FunctorData(
+        PARALLEL_PAIR_SHAPE, cat, (x, y), (cat.identity[x], cat.identity[y], f, g)))
+
+
+def cones(cat: FinCategory, diagram: Diagram):
+    """All cones on the diagram, ascending by (apex, legs)."""
+    shape, lab = diagram.shape, diagram.labeling
+    out = []
+    for apex in cat.objects:
+        choices = [cat.hom(apex, lab.obj_map[i]) for i in shape.objects]
+        for legs in itertools.product(*choices):
+            ok = True
+            for m in shape.morphisms:
+                i, j = shape.dom[m], shape.cod[m]
+                if cat.comp[lab.mor_map[m]][legs[i]] != legs[j]:
+                    ok = False
+                    break
+            if ok:
+                out.append(Cone(apex, legs))
+    return out
+
+
+def factorizations(cat: FinCategory, cone_from: Cone, cone_to: Cone):
+    """Morphisms h: apex(cone_from) -> apex(cone_to) with legs_to ∘ h = legs_from."""
+    return [h for h in cat.hom(cone_from.apex, cone_to.apex)
+            if all(cat.comp[leg][h] == cone_from.legs[i]
+                   for i, leg in enumerate(cone_to.legs))]
+
+
+def limit(cat: FinCategory, diagram: Diagram):
+    """Terminal cone on the diagram, or None.
+
+    Of the terminal cones (all mutually isomorphic) the first in ascending
+    (apex, legs) order is returned, so repeated runs agree on ids.
+    """
+    if validate_functor(diagram.labeling):
+        raise ValueError("invalid diagram labeling")
+    all_cones = cones(cat, diagram)
+    for cone in all_cones:
+        if all(len(factorizations(cat, other, cone)) == 1 for other in all_cones):
+            return cone
+    return None
+
+
+def preserves_limit_cone(fun: FunctorData, diagram, cone) -> bool:
+    """The image of the given limit cone is again terminal among cones."""
+    cat = fun.target
+    image_diagram = Diagram(diagram.shape, FunctorData(
+        diagram.shape, cat,
+        tuple(fun.obj_map[x] for x in diagram.labeling.obj_map),
+        tuple(fun.mor_map[f] for f in diagram.labeling.mor_map)))
+    image_cone = Cone(fun.obj_map[cone.apex],
+                      tuple(fun.mor_map[leg] for leg in cone.legs))
+    for other in cones(cat, image_diagram):
+        if len(factorizations(cat, other, image_cone)) != 1:
+            return False
+    return True
+
+
+@functools.cache
+def generating_diagrams(cat: FinCategory):
+    """Terminal, binary products, equalizers and pullbacks with their limits."""
+    out = []
+    diagram = empty_diagram(cat)
+    cone = limit(cat, diagram)
+    if cone is not None:
+        out.append((diagram, cone))
+    for x, y in itertools.combinations_with_replacement(cat.objects, 2):
+        diagram = discrete_diagram(cat, (x, y))
+        cone = limit(cat, diagram)
+        if cone is not None:
+            out.append((diagram, cone))
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if cat.dom[f] == cat.dom[g] and cat.cod[f] == cat.cod[g] and f <= g:
+                diagram = parallel_pair_diagram(cat, f, g)
+                cone = limit(cat, diagram)
+                if cone is not None:
+                    out.append((diagram, cone))
+            if cat.cod[f] == cat.cod[g]:
+                diagram = cospan_diagram(cat, f, g)
+                cone = limit(cat, diagram)
+                if cone is not None:
+                    out.append((diagram, cone))
+    return out
+
+
+@functools.cache
+def slow_preserves_finite_limits(fun: FunctorData) -> bool:
+    """fun sends every terminal object, binary product, equalizer and
+    pullback that its source has, each found by the exhaustive ``limit``
+    search, to a terminal cone."""
+    return all(preserves_limit_cone(fun, diagram, cone)
+               for diagram, cone in generating_diagrams(fun.source))
+
+
+def slow_is_site_morphism(fun: FunctorData, source: SiteSpec, target: SiteSpec) -> bool:
+    """fun preserves finite limits and sends E-families to covering
+    families: ``site.is_site_morphism`` as it was before it read the lex
+    probes."""
+    if fun.source != source.cat or fun.target != target.cat:
+        raise ValueError("functor does not match the given sites")
+    if validate_functor(fun) or not slow_preserves_finite_limits(fun):
+        return False
+    topology = site_topology(target)
+    for fam in source.covers:
+        image = Family.make(fun.obj_map[fam.codomain],
+                            [fun.mor_map[f] for f in fam.legs])
+        if not family_covers(target, topology, image):
+            return False
+    return True
+
+
+def slow_coequalizer(cat: FinCategory, p1: int, p2: int):
+    """Initial coequalizing morphism of the parallel pair, or None:
+    ``limits.coequalizer`` as it was before ``is_coequalizer``."""
+    if cat.dom[p1] != cat.dom[p2] or cat.cod[p1] != cat.cod[p2]:
+        raise ValueError("not a parallel pair")
+    x = cat.cod[p1]
+    candidates = [q for q in cat.out_of(x) if cat.comp[q][p1] == cat.comp[q][p2]]
+    for q in candidates:
+        ok = True
+        for r in candidates:
+            hs = [h for h in cat.hom(cat.cod[q], cat.cod[r])
+                  if cat.comp[h][q] == r]
+            if len(hs) != 1:
+                ok = False
+                break
+        if ok:
+            return q
+    return None
+
+
+def slow_is_effective_epi(cat: FinCategory, f: int) -> bool:
+    """f is a coequalizer of its kernel pair (False when the pair is
+    absent): ``limits.is_effective_epi`` as it was before ``is_coequalizer``."""
+    square = limits.pullback(cat, f, f)
+    if square is None:
+        return False
+    p1, p2 = square.to_left, square.to_right
+    if cat.comp[f][p1] != cat.comp[f][p2]:
+        return False
+    for r in cat.out_of(cat.dom[f]):
+        if cat.comp[r][p1] != cat.comp[r][p2]:
+            continue
+        hs = [h for h in cat.hom(cat.cod[f], cat.cod[r]) if cat.comp[h][f] == r]
+        if len(hs) != 1:
+            return False
+    return True

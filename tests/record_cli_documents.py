@@ -7,13 +7,15 @@ from every object of every fixture.  The eventual cases are
 are not fixtures, the involution at bounds 1-3 and the fork at bounds 1-2,
 and on two poset sites, chain_6 at bound 2 and bool_3 at bound 1.  The thin
 cases are ``models --json`` on bool_4, pbool_4 and bool_5 at bound 1,
-pbool_3 and chain_6 at bound 2.  The poset sites are named and covered as
+pbool_3 and chain_6 at bound 2.  The topology cases are ``saturate --json``
+on every fixture, bool_3, grid_3x4 and pbool_3, and ``sheafify --json`` on
+every object of bool_3.  The poset sites are named and covered as
 the benchmark's ladder writes them; every site that is not a fixture is
 written to a temporary file.  Each document is kept as its exit code and
 the SHA-256 of its stdout bytes.
 
 Run from the root of a checkout, only when a change to the chase, the
-eventual or the models output is intended:
+eventual, the models or the topology output is intended:
 
     PYTHONPATH=src python tests/record_cli_documents.py
 """
@@ -83,6 +85,12 @@ def _chain(n):
     return [f"c{i}" for i in range(n)], [[i <= j for j in range(n)] for i in range(n)]
 
 
+def _grid(a, b):
+    cells = [(i, j) for i in range(a) for j in range(b)]
+    return ([f"g{i}_{j}" for i, j in cells],
+            [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells])
+
+
 def _boolean(k, punctured=False):
     """The subsets of k points, without the empty one when ``punctured``."""
     elements = [e for e in range(2 ** k) if not (punctured and e == 0)]
@@ -98,6 +106,7 @@ POSET_SITES = {
     "pbool_3": lambda: _boolean(3, punctured=True),
     "chain_6": lambda: _chain(6),
     "bool_5": lambda: _boolean(5),
+    "grid_3x4": lambda: _grid(3, 4),
 }
 
 # site name -> bounds of the thin models cases
@@ -109,6 +118,14 @@ def models_cli_cases() -> list[tuple[str, ...]]:
     """argv tuples, with the site file given by its name."""
     return [("models", f"{name}.site", "--bound", str(bound), "--json")
             for name, bounds in MODELS_BOUNDS.items() for bound in bounds]
+
+
+def topology_cli_cases() -> list[tuple[str, ...]]:
+    """argv tuples, with the site file given by its name."""
+    cases = [("saturate", f"{name}.site", "--json")
+             for name in (*fixtures.SITE_NAMES, "bool_3", "grid_3x4", "pbool_3")]
+    names, _ = POSET_SITES["bool_3"]()
+    return cases + [("sheafify", "bool_3.site", "--object", x, "--json") for x in names]
 
 
 def write_sites(directory) -> dict[str, str]:
@@ -146,7 +163,8 @@ def main():
     documents = {}
     with tempfile.TemporaryDirectory() as directory:
         paths = write_sites(directory)
-        for case in chase_cli_cases() + eventual_cli_cases() + models_cli_cases():
+        for case in (chase_cli_cases() + eventual_cli_cases() + models_cli_cases()
+                     + topology_cli_cases()):
             code, stdout = run_case(case, paths)
             documents[" ".join(case)] = {"code": code, "sha256": digest(stdout)}
     DOCUMENTS.write_text(json.dumps(documents, indent=1, sort_keys=True) + "\n")

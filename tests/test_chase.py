@@ -1,7 +1,5 @@
 """The chase: pairing fairness, branch runs, colimits, separation, covers."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +7,8 @@ from hypothesis import strategies as st
 from finsite import chase, fixtures
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, DEAD, INCONCLUSIVE,
                            STABILIZED, WITNESS, ChaseBranch, Task,
-                           _dead_objects, _stabilized_objects, _task_column,
-                           _task_list, branch_colimit, explore_cotree,
+                           _dead_objects, _stabilized_objects, _task_list,
+                           branch_colimit, explore_cotree,
                            family_jointly_covers, nonempty_covers, pairing,
                            run_branch, separate_subobjects, solve_task,
                            unpairing)
@@ -55,19 +53,19 @@ def test_pairing_properties(alpha, beta):
 
 def test_solve_task_identity_cover_is_identity_stage():
     chain = [(3, DIAMOND.identity[3])]
-    task = Task(0, DIAMOND.identity[3], Family.make(3, [3]))
-    obj, connect = solve_task(DIAMOND_SITE, chain, task, 0)
+    task = Task(DIAMOND.identity[3], Family.make(3, [3]))
+    obj, connect = solve_task(DIAMOND_SITE, chain, 0, task, 0)
     assert obj == 3 and DIAMOND.is_identity(connect)
 
 
 def test_solve_task_pullback_steps():
     chain = [(3, DIAMOND.identity[3])]
-    task = Task(0, DIAMOND.identity[3], Family.make(3, [7, 8]))
-    obj, connect = solve_task(DIAMOND_SITE, chain, task, 0)
+    task = Task(DIAMOND.identity[3], Family.make(3, [7, 8]))
+    obj, connect = solve_task(DIAMOND_SITE, chain, 0, task, 0)
     assert obj == 1 and connect == 7  # pull the a-leg: land on a
     chain = [(3, DIAMOND.identity[3]), (1, 7)]
-    task = Task(1, 7, Family.make(3, [7, 8]))  # arrow a -> 1 at stage 1
-    obj, connect = solve_task(DIAMOND_SITE, chain, task, 1)
+    task = Task(7, Family.make(3, [7, 8]))  # arrow a -> 1 at stage 1
+    obj, connect = solve_task(DIAMOND_SITE, chain, 1, task, 1)
     assert obj == 0  # the b-leg against a -> 1 lands on the meet
 
 
@@ -112,7 +110,7 @@ def test_fair_schedule_solves_enqueued_cells():
                 alpha, beta = unpairing(step)
                 assert beta <= step < len(branch.columns) + 1, name
                 column = branch.columns[beta]
-                assert column[alpha % len(column)].stage == beta, name
+                assert column == _task_list(site, branch.chain[beta][0]), name
                 assert task_index == alpha % len(column), name
 
 
@@ -273,7 +271,6 @@ def test_chase_tables_belong_to_the_site_not_the_category():
     assert _dead_objects(DIAMOND_SITE) != _dead_objects(other)
     assert _stabilized_objects(DIAMOND_SITE) != _stabilized_objects(other)
     assert _task_list(DIAMOND_SITE, a) != _task_list(other, a)
-    assert _task_column(DIAMOND_SITE, a, 3) != _task_column(other, a, 3)
     assert branch_colimit(_stopped_at(DIAMOND_SITE, top, STABILIZED)) \
         != branch_colimit(_stopped_at(other, top, STABILIZED))
     assert explore_cotree(DIAMOND_SITE, top) != explore_cotree(other, top)
@@ -284,11 +281,6 @@ def test_chase_tables_belong_to_the_site_not_the_category():
         assert _stabilized_objects(site) == _stabilized_objects(fresh)
         for x in DIAMOND.objects:
             assert _task_list(site, x) == _task_list(fresh, x)
-            for stage in (0, 3):
-                column = _task_column(site, x, stage)
-                assert column == _task_column(fresh, x, stage)
-                assert column == tuple(dataclasses.replace(t, stage=stage)
-                                       for t in _task_list(site, x))
             for status in (STABILIZED, DEAD):
                 assert branch_colimit(_stopped_at(site, x, status)) \
                     == branch_colimit(_stopped_at(fresh, x, status))

@@ -1,6 +1,7 @@
 """Text-format round trips, JSON stability, and the exit-code contract."""
 
 import argparse
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -12,10 +13,20 @@ from finsite.fincat import compose_nat, representable_presheaf
 from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
 
-from helpers import slow_plus, slow_sieve_topology
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finsite.fincat import poset_category
+from finsite.limits import terminal_object
+from finsite.site import Family, SiteSpec, validate_site
+
+from helpers import (cospan_only_category, discrete2_category,
+                     equalized_fork_category, fork_category, involution_category,
+                     iso_pair_category, left_zero_monoid, posets,
+                     random_covers_site, slow_plus, slow_sieve_topology)
 from record_cli_documents import (DOCUMENTS, chase_cli_cases, digest,
                                   eventual_cli_cases, models_cli_cases,
-                                  write_sites)
+                                  topology_cli_cases, write_sites)
 
 
 def fixture_path(name):
@@ -27,6 +38,53 @@ def test_round_trip_all_fixtures():
     for name in fixtures.SITE_NAMES:
         site = fixtures.load_site(name)
         assert parse_site(print_site(site)) == site, name
+
+
+def _assert_round_trip(site):
+    """A site with an empty ``validate_site`` report parses back equal from
+    its printed form; any other raises ``ValidationError`` with the same
+    report.  Returns whether the site was valid."""
+    report = validate_site(site)
+    if not report:
+        assert parse_site(print_site(site)) == site
+        return True
+    with pytest.raises(ValidationError) as err:
+        parse_site(print_site(site))
+    assert err.value.violations == report
+    return False
+
+
+def _with_terminal_cover(site):
+    """The site with the identity cover of its terminal object added, when
+    it has one."""
+    cat = site.cat
+    terminal = terminal_object(cat)
+    if terminal is None:
+        return site
+    return SiteSpec.make(cat, site.covers + (Family.make(terminal, [cat.identity[terminal]]),))
+
+
+ROUND_TRIP_CATEGORIES = (fork_category, equalized_fork_category, iso_pair_category,
+                         involution_category, left_zero_monoid, discrete2_category,
+                         cospan_only_category)
+
+
+def test_round_trip_random_covers_on_non_poset_categories():
+    valid = []
+    for make in ROUND_TRIP_CATEGORIES:
+        for seed in range(8):
+            site = random_covers_site(make(), seed)
+            valid += [_assert_round_trip(site), _assert_round_trip(_with_terminal_cover(site))]
+    assert True in valid and False in valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_objects=5), st.integers(min_value=0, max_value=2 ** 32))
+def test_round_trip_random_covers_on_random_posets(leq, seed):
+    cat = poset_category(leq, tuple(f"p{x}" for x in range(len(leq))))
+    site = random_covers_site(cat, seed)
+    _assert_round_trip(site)
+    _assert_round_trip(_with_terminal_cover(site))
 
 
 def test_parse_point_from_minimal_text():
@@ -155,6 +213,38 @@ def test_check_exit_codes(capsys, tmp_path):
     assert code == 3
 
 
+INVALID_DOCUMENTS = {
+    "site": ("object X\nobject Y\n", "no terminal object"),
+    "lattice": ("lattice {\n  elements: bot a b top\n"
+                "  bot < a  bot < b  a < top  b < top\n  join a <- [a, b]\n}\n",
+                "declared join"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_DOCUMENTS))
+def test_check_reports_validation_failures_as_refuted(capsys, tmp_path, kind):
+    """A file that parses but fails validation: ``check`` exits 1 with the
+    violations and the digest of the file; every other subcommand still
+    treats it as an input error."""
+    text, needle = INVALID_DOCUMENTS[kind]
+    with pytest.raises(ValidationError) as err:
+        parse_document(text)
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    code, out = run_cli(capsys, "check", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "check", "input_digest": hashlib.sha256(text.encode()).hexdigest(),
+        "result": {"valid": False, "violations": err.value.violations},
+        "witnesses": err.value.violations, "timings": {}}
+    assert any(needle in v for v in err.value.violations)
+    code, out = run_cli(capsys, "check", str(path))
+    assert code == 1 and out.startswith('check: {"valid": false, "violations": [')
+    command = "models" if kind == "site" else "lattice-embed"
+    code, out = run_cli(capsys, command, str(path), "--json")
+    assert code == 3 and json.loads(out)["input_digest"] is None
+
+
 def test_separate_returns_witness_and_exit_one(capsys):
     code, out = run_cli(capsys, "separate", fixture_path("diamond.site"),
                         "--object", "1", "--u", "a", "--v", "b",
@@ -246,9 +336,8 @@ def test_chase_and_separate_json_match_the_recorded_documents(capsys):
     bytes recorded in ``cli_documents.json``."""
     recorded = json.loads(DOCUMENTS.read_text())
     cases = chase_cli_cases()
-    assert sorted(" ".join(case) for case
-                  in cases + eventual_cli_cases() + models_cli_cases()) \
-        == sorted(recorded)
+    assert sorted(" ".join(case) for case in cases + eventual_cli_cases()
+                  + models_cli_cases() + topology_cli_cases()) == sorted(recorded)
     for case in cases:
         code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
@@ -280,6 +369,18 @@ def test_thin_models_json_match_the_recorded_documents(capsys, tmp_path):
     paths = write_sites(tmp_path)
     for case in models_cli_cases():
         code, out = run_cli(capsys, case[0], paths[case[1]], *case[2:])
+        assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
+
+
+def test_saturate_and_sheafify_json_match_the_recorded_documents(capsys, tmp_path):
+    """``saturate --json`` on every fixture, bool_3, grid_3x4 and pbool_3
+    (no pullback of two atoms: exit 3), and ``sheafify --json`` on every
+    object of bool_3, print the bytes recorded in ``cli_documents.json``."""
+    recorded = json.loads(DOCUMENTS.read_text())
+    paths = write_sites(tmp_path)
+    for case in topology_cli_cases():
+        path = paths.get(case[1]) or fixture_path(case[1])
+        code, out = run_cli(capsys, case[0], path, *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
 
 

@@ -1,4 +1,5 @@
-"""Limit search, subobjects, extremal families, factorizations."""
+"""Pullbacks and coequalizers against the limit-search oracle, subobjects,
+extremal families, factorizations."""
 
 import dataclasses
 import itertools
@@ -6,22 +7,22 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from finsite import fixtures
+from finsite import fixtures, limits
 from finsite.fincat import all_nat_transformations, check_nat, poset_category
-from finsite.limits import (Cone, PullbackSquare, _pullback_key,
-                            _pullback_square, cospan_diagram,
-                            discrete_diagram, empty_diagram,
-                            image_factorization_abstract,
+from finsite.limits import (PullbackSquare, _pullback_key, _pullback_square,
+                            coequalizer, image_factorization_abstract,
                             image_factorization_pointwise, is_effective_epi,
-                            is_extremal_epi_family, limit, pullback,
+                            is_extremal_epi_family, is_pullback, pullback,
                             strict_initial, subobject_lattice, terminal_object)
 from finsite.models import ModelBound, enumerate_models
 from finsite.presheaf import enumerate_presheaves
 
-from helpers import (boolean_leq, cospan_only_category, discrete2_category,
-                     fork_category, grid_leq, involution_category,
-                     iso_pair_category, left_zero_monoid, posets,
-                     product_category, reversed_ids)
+from helpers import (Cone, boolean_leq, cones, cospan_diagram, cospan_only_category,
+                     discrete2_category, discrete_diagram, empty_diagram,
+                     equalized_fork_category, factorizations, fork_category,
+                     grid_leq, involution_category, iso_pair_category,
+                     left_zero_monoid, limit, posets, product_category,
+                     reversed_ids, slow_coequalizer, slow_is_effective_epi)
 
 DIAMOND = fixtures.load_site("diamond").cat
 POINT = fixtures.load_site("point").cat
@@ -103,6 +104,62 @@ def test_pullback_matches_cospan_limit():
 @given(posets(max_objects=6))
 def test_pullback_matches_cospan_limit_on_random_posets(leq):
     _assert_hom_table_limits_match_oracle(poset_category(leq))
+
+
+def test_is_pullback_is_the_terminal_cone_test():
+    """On every cone over every cospan, ``is_pullback`` accepts exactly the
+    cones that every cone factors through uniquely."""
+    accepted = 0
+    for name, cat in CATALOGUE.items():
+        if cat.n_objects > 8:
+            continue
+        for f, g in _cospans(cat):
+            every = cones(cat, cospan_diagram(cat, f, g))
+            for cone in every:
+                terminal = all(len(factorizations(cat, other, cone)) == 1
+                               for other in every)
+                assert is_pullback(cat, f, g, *cone.legs[:2]) == terminal, (name, f, g)
+                accepted += terminal
+    assert accepted > 100
+
+
+def test_is_pullback_examples():
+    # diamond: 7 = a -> 1, 8 = b -> 1, 4 = 0 -> a, 5 = 0 -> b, 1 = id_a
+    assert is_pullback(DIAMOND, 7, 8, 4, 5)      # the meet 0 of a and b
+    assert is_pullback(DIAMOND, 7, 7, 1, 1)      # a -> 1 is mono
+    assert not is_pullback(DIAMOND, 7, 7, 4, 4)  # a cone, not the terminal one
+    with pytest.raises(ValueError):
+        is_pullback(DIAMOND, 7, 8, 5, 4)
+    with pytest.raises(ValueError):
+        is_pullback(DIAMOND, 7, 4, 4, 5)
+
+
+def test_coequalizers_and_effective_epis_are_unchanged():
+    """``coequalizer`` on every parallel pair, and ``is_effective_epi`` and
+    ``image_factorization_abstract`` on every morphism of the catalogue,
+    equal the searches that did not share ``is_coequalizer``."""
+    for name, cat in CATALOGUE.items():
+        for p1 in cat.morphisms:
+            for p2 in cat.hom(cat.dom[p1], cat.cod[p1]):
+                assert coequalizer(cat, p1, p2) == slow_coequalizer(cat, p1, p2), name
+        fast = [(is_effective_epi(cat, f), image_factorization_abstract(cat, f))
+                for f in cat.morphisms]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(limits, "coequalizer", slow_coequalizer)
+            patch.setattr(limits, "is_effective_epi", slow_is_effective_epi)
+            slow = [(limits.is_effective_epi(cat, f),
+                     limits.image_factorization_abstract(cat, f)) for f in cat.morphisms]
+        assert fast == slow, name
+
+
+def test_equalized_fork_coequalizer_without_a_kernel_pair():
+    """q: y -> z coequalizes f and g, but q has no kernel pair, so it is not
+    an effective epi: only the identities are."""
+    cat = equalized_fork_category()
+    f, g, q = 5, 6, 7
+    assert coequalizer(cat, f, g) == q and pullback(cat, q, q) is None
+    assert [h for h in cat.morphisms if is_effective_epi(cat, h)] \
+        == [cat.identity[x] for x in cat.objects]
 
 
 def _cospans(cat):

@@ -11,13 +11,13 @@ from finsite.fincat import (COVARIANT, SetValuedFunctor,
                             all_nat_transformations, poset_category,
                             validate_set_functor)
 from finsite.eventual import NatTable
-from finsite.models import (ModelBound, _lex_probes, _square_holds,
+from finsite.models import (ModelBound, _square_holds,
                             elements_category, enumerate_lex_functors,
                             enumerate_models, enumerate_set_functors,
                             eta_check, lan_ay, lan_map, lex_hull,
                             nat_via_limit, is_lex, preserves_covers,
                             subfunctor)
-from finsite.limits import pullback, terminal_object
+from finsite.limits import _lex_probes, pullback, terminal_object
 from finsite.presheaf import ay
 from finsite.site import Family, SiteSpec
 
@@ -511,6 +511,6 @@ def test_lex_hull_is_the_same_under_every_square(monkeypatch):
             for x, e in elements_category(fn):
                 cases.append((site, fn, {x: (e,)}))
     hulls = [lex_hull(*case) for case in cases]
-    monkeypatch.setattr(models, "_lex_probes", _every_square)
+    monkeypatch.setattr(limits, "_lex_probes", _every_square)
     assert [lex_hull(*case) for case in cases] == hulls
     assert len(cases) > 1000

@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fixtures
-from finsite.fincat import FinCategory, FunctorData, identity_functor, poset_category
+from finsite.fincat import (FinCategory, FunctorData, identity_functor, poset_category,
+                            validate_functor)
 from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
-                          SiteSpec, all_sieves, family_covers, generate_sieve_topology,
-                          generated_sieve, is_sieve, is_site_morphism,
-                          maximal_sieve, pull_sieve, pullback_closure,
-                          site_topology, tree_saturation, validate_site)
+                          SiteSpec, all_sieves, family_covers,
+                          generate_sieve_topology, generated_sieve, is_sieve,
+                          is_site_morphism, maximal_sieve, pull_sieve,
+                          pullback_closure, sieves_containing, site_topology,
+                          tree_saturation, validate_site)
 
 from helpers import (boolean_leq, cospan_only_category, discrete2_category,
-                     fork_category, grid_leq, iso_pair_category, left_zero_monoid,
+                     equalized_fork_category, fork_category, grid_leq,
+                     involution_category, iso_pair_category, left_zero_monoid,
                      oracle_sites, poset_site, posets, random_covers_site,
-                     slow_sieve_topology, slow_sieves, slow_tree_saturation)
+                     slow_is_site_morphism, slow_sieve_topology, slow_sieves,
+                     slow_tree_saturation)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -167,6 +171,42 @@ def test_all_sieves_guard_on_a_long_chain():
         all_sieves(cat, n - 1)
 
 
+def test_covering_sieves_are_searched_from_the_least_covering_sieve():
+    """The arrows of J₀(y) are kept from the start: the guard counts only
+    the arrows outside it, and the table holds one list per (y, start)."""
+    n = MAX_ARROWS_FOR_SIEVES + 2
+    site = poset_site([[i <= j for j in range(n)] for i in range(n)])
+    top = n - 1
+    with pytest.raises(ValueError, match="too many arrows"):
+        all_sieves(site.cat, top)
+    assert site_topology(site).covering_sieves(top) == [maximal_sieve(site.cat, top)]
+    assert set(site.cat._sieve_table) == {(top, sum(1 << f for f in site.cat.into(top)))}
+
+
+def test_sieves_containing_a_sieve_are_the_filtered_sieves():
+    """For every sieve S on every object, the sieves that contain S, in
+    order, on the fixtures, bool_3 and the non-poset categories."""
+    cats = [site.cat for site in ALL_SITES.values()]
+    cats += [poset_category(boolean_leq(3)), fork_category(), left_zero_monoid(),
+             iso_pair_category(), involution_category(), equalized_fork_category()]
+    for cat in cats:
+        for y in cat.objects:
+            every = slow_sieves(cat, y)
+            for start in every:
+                assert sieves_containing(cat, start) == tuple(
+                    sieve for sieve in every if start.arrows <= sieve.arrows), (cat, start)
+
+
+def test_bool_4_builds_only_the_covering_sieves():
+    """Listing the covering sieves of every bool_4 object builds 167 sieves;
+    filtering all of them built 298."""
+    site = poset_site(boolean_leq(4))
+    topology = site_topology(site)
+    listed = [topology.covering_sieves(y) for y in site.cat.objects]
+    assert sum(map(len, site.cat._sieve_table.values())) == sum(map(len, listed)) == 167
+    assert sum(len(all_sieves(site.cat, y)) for y in site.cat.objects) == 298
+
+
 def test_warm_covering_sieves_hash_no_category(monkeypatch):
     site = poset_site(boolean_leq(3))
     topology = site_topology(site)
@@ -303,3 +343,54 @@ def test_cover_dropping_functor_is_not_site_morphism():
     cat = DIAMOND_SITE.cat
     trivial = SiteSpec.make(cat, [Family.make(3, [3])])
     assert not is_site_morphism(identity_functor(cat), DIAMOND_SITE, trivial)
+
+
+def _functors(source: FinCategory, target: FinCategory):
+    """Every functor, as object maps times hom choices filtered by
+    ``validate_functor``."""
+    for obj in itertools.product(target.objects, repeat=source.n_objects):
+        choices = [target.hom(obj[source.dom[f]], obj[source.cod[f]])
+                   for f in source.morphisms]
+        for mor in itertools.product(*choices):
+            fun = FunctorData(source, target, obj, mor)
+            if not validate_functor(fun):
+                yield fun
+
+
+def test_site_morphisms_agree_with_the_limit_search_oracle():
+    """On every functor between the fixtures, bool_2, the fork, the
+    equalized fork, the iso pair and the involution, each with three
+    random-cover sites, the lex probes give the verdict of the exhaustive
+    limit search."""
+    cats = {name: site.cat for name, site in ALL_SITES.items()}
+    cats.update(bool_2=poset_category(boolean_leq(2)), fork=fork_category(),
+                equalized_fork=equalized_fork_category(),
+                iso_pair=iso_pair_category(), involution=involution_category())
+    sites = {name: [random_covers_site(cat, seed) for seed in range(3)]
+             for name, cat in cats.items()}
+    verdicts = []
+    for name, source in cats.items():
+        for other, target in cats.items():
+            for fun in _functors(source, target):
+                for s in sites[name]:
+                    for t in sites[other]:
+                        verdict = slow_is_site_morphism(fun, s, t)
+                        assert is_site_morphism(fun, s, t) == verdict, (name, other, fun)
+                        verdicts.append(verdict)
+    assert len(verdicts) > 25000 and verdicts.count(True) > 5000
+
+
+def test_site_morphism_source_needs_a_terminal_object():
+    discrete = SiteSpec.make(discrete2_category(), [])
+    assert validate_site(discrete)
+    with pytest.raises(ValueError, match="no terminal object"):
+        is_site_morphism(identity_functor(discrete.cat), discrete, discrete)
+
+
+def test_site_morphism_checks_the_image_of_the_terminal_object():
+    """Sending the point to a non-terminal object of the diamond preserves
+    every (trivial) pullback of the point but not its terminal object."""
+    cat = DIAMOND_SITE.cat
+    for x in cat.objects:
+        fun = FunctorData(POINT_SITE.cat, cat, (x,), (cat.identity[x],))
+        assert is_site_morphism(fun, POINT_SITE, DIAMOND_SITE) == (x == 3), x
