@@ -9,13 +9,15 @@ and on two poset sites, chain_6 at bound 2 and bool_3 at bound 1.  The thin
 cases are ``models --json`` on bool_4, pbool_4 and bool_5 at bound 1,
 pbool_3 and chain_6 at bound 2.  The topology cases are ``saturate --json``
 on every fixture, bool_3, grid_3x4 and pbool_3, and ``sheafify --json`` on
-every object of bool_3.  The poset sites are named and covered as
+every object of bool_3.  The factor cases are ``factor --json`` for every
+ordered pair of objects of every fixture, the only documents that list
+natural transformations in enumeration order.  The poset sites are named and covered as
 the benchmark's ladder writes them; every site that is not a fixture is
 written to a temporary file.  Each document is kept as its exit code and
 the SHA-256 of its stdout bytes.
 
 Run from the root of a checkout, only when a change to the chase, the
-eventual, the models or the topology output is intended:
+eventual, the models, the topology or the factor output is intended:
 
     PYTHONPATH=src python tests/record_cli_documents.py
 """
@@ -128,6 +130,17 @@ def topology_cli_cases() -> list[tuple[str, ...]]:
     return cases + [("sheafify", "bool_3.site", "--object", x, "--json") for x in names]
 
 
+def factor_cli_cases() -> list[tuple[str, ...]]:
+    """argv tuples, with the fixture file given by its name."""
+    cases = []
+    for name in fixtures.SITE_NAMES:
+        cat = fixtures.load_site(name).cat
+        names = [cat.obj_name(x) for x in cat.objects]
+        cases.extend(("factor", f"{name}.site", "--source", x, "--target", y, "--json")
+                     for x in names for y in names)
+    return cases
+
+
 def write_sites(directory) -> dict[str, str]:
     """Print each site that is not a fixture into ``directory``; file name
     -> path."""
@@ -164,7 +177,7 @@ def main():
     with tempfile.TemporaryDirectory() as directory:
         paths = write_sites(directory)
         for case in (chase_cli_cases() + eventual_cli_cases() + models_cli_cases()
-                     + topology_cli_cases()):
+                     + topology_cli_cases() + factor_cli_cases()):
             code, stdout = run_case(case, paths)
             documents[" ".join(case)] = {"code": code, "sha256": digest(stdout)}
     DOCUMENTS.write_text(json.dumps(documents, indent=1, sort_keys=True) + "\n")

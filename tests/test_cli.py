@@ -25,8 +25,9 @@ from helpers import (cospan_only_category, discrete2_category,
                      iso_pair_category, left_zero_monoid, posets,
                      random_covers_site, slow_plus, slow_sieve_topology)
 from record_cli_documents import (DOCUMENTS, chase_cli_cases, digest,
-                                  eventual_cli_cases, models_cli_cases,
-                                  topology_cli_cases, write_sites)
+                                  eventual_cli_cases, factor_cli_cases,
+                                  models_cli_cases, topology_cli_cases,
+                                  write_sites)
 
 
 def fixture_path(name):
@@ -337,7 +338,8 @@ def test_chase_and_separate_json_match_the_recorded_documents(capsys):
     recorded = json.loads(DOCUMENTS.read_text())
     cases = chase_cli_cases()
     assert sorted(" ".join(case) for case in cases + eventual_cli_cases()
-                  + models_cli_cases() + topology_cli_cases()) == sorted(recorded)
+                  + models_cli_cases() + topology_cli_cases()
+                  + factor_cli_cases()) == sorted(recorded)
     for case in cases:
         code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
@@ -381,6 +383,18 @@ def test_saturate_and_sheafify_json_match_the_recorded_documents(capsys, tmp_pat
     for case in topology_cli_cases():
         path = paths.get(case[1]) or fixture_path(case[1])
         code, out = run_cli(capsys, case[0], path, *case[2:])
+        assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
+
+
+def test_factor_json_match_the_recorded_documents(capsys):
+    """``factor --json`` for every ordered pair of objects of every fixture,
+    which lists Nat(ay(x), ay(x')) in enumeration order, prints the bytes
+    recorded in ``cli_documents.json``."""
+    recorded = json.loads(DOCUMENTS.read_text())
+    cases = factor_cli_cases()
+    assert len(cases) == 71
+    for case in cases:
+        code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
 
 
