@@ -11,9 +11,9 @@ from functools import cache, cached_property
 
 from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
                      all_nat_transformations, compose_nat, covariant_representable,
-                     identity_nat)
+                     identity_nat, nat_via_limit)
 from .models import (ModelBound, UnionFind, elements_category,
-                     enumerate_lex_functors, nat_via_limit)
+                     enumerate_lex_functors)
 from .site import SiteSpec
 
 
@@ -22,7 +22,8 @@ class NatTable:
     pair (i, j) of positions, each query answered once, on first use.
     ``hom(i, j)`` is Nat(F_i, F_j) in ``all_nat_transformations`` order and
     the only enumeration of it; ``index``, ``composites`` and ``pairing``
-    are read off it and off ``limit``."""
+    are read off it and off ``limit``.  ``hom`` and ``limit`` solve the same
+    equations, so ``pairing`` checks the bookkeeping, not the search."""
 
     def __init__(self, functors):
         self.functors = tuple(functors)

@@ -225,24 +225,20 @@ def _assemble_site(builder: _SiteBuilder) -> SiteSpec:
 def print_site(site: SiteSpec) -> str:
     """Canonical expanded form; parsing it reproduces the tables exactly."""
     cat = site.cat
-    out = []
-    for x in cat.objects:
-        out.append(f"object {cat.obj_name(x)}")
+    # identities by the names the parser gives them
+    name = [f"id_{cat.obj_name(cat.dom[f])}" if cat.is_identity(f) else cat.mor_name(f)
+            for f in cat.morphisms]
+    out = [f"object {cat.obj_name(x)}" for x in cat.objects]
     for f in cat.morphisms:
         if not cat.is_identity(f):
-            out.append(f"arrow {cat.mor_name(f)} : "
+            out.append(f"arrow {name[f]} : "
                        f"{cat.obj_name(cat.dom[f])} -> {cat.obj_name(cat.cod[f])}")
     for g in cat.morphisms:
         for f in cat.morphisms:
-            if cat.is_identity(g) or cat.is_identity(f):
-                continue
-            if cat.cod[f] != cat.dom[g]:
-                continue
-            out.append(f"compose {cat.mor_name(g)} . {cat.mor_name(f)} "
-                       f"= {cat.mor_name(cat.comp[g][f])}")
-    for fam in site.covers:
-        legs = ", ".join(cat.mor_name(f) for f in fam.legs)
-        out.append(f"cover {cat.obj_name(fam.codomain)} <- [{legs}]")
+            if not (cat.is_identity(g) or cat.is_identity(f) or cat.cod[f] != cat.dom[g]):
+                out.append(f"compose {name[g]} . {name[f]} = {name[cat.comp[g][f]]}")
+    out += [f"cover {cat.obj_name(fam.codomain)} <- [{', '.join(name[f] for f in fam.legs)}]"
+            for fam in site.covers]
     return "\n".join(out) + "\n"
 
 

@@ -470,19 +470,56 @@ def check_nat(alpha: NatTransData) -> bool:
     return True
 
 
-def all_nat_transformations(src: SetValuedFunctor, tgt: SetValuedFunctor):
-    """Every natural transformation src => tgt, by brute force over component
-    tuples in lexicographic order with a full naturality filter."""
+def compatible_families(domains, equations) -> list[tuple[int, ...]]:
+    """Every v with v[k] in range(domains[k]) and v[j] == row[v[i]] for each
+    equation (i, row, j), in lexicographic (``itertools.product``) order:
+    backtracking over the variables in order, values ascending, with each
+    equation tested once its later end is set.  The search keeps its own
+    stack, so no recursion limit bounds the number of variables."""
+    if not domains:
+        return [()]
+    checks = [[] for _ in domains]
+    for eq in equations:
+        checks[max(eq[0], eq[2])].append(eq)
+    last, out, v = len(domains) - 1, [], [0] * len(domains)
+    stack = [iter(range(domains[0]))]   # stack[k]: the values left for v[k]
+    while stack:
+        k = len(stack) - 1
+        for v[k] in stack[k]:
+            for i, row, j in checks[k]:
+                if v[j] != row[v[i]]:
+                    break
+            else:
+                if k == last:
+                    out.append(tuple(v))
+                    continue
+                stack.append(iter(range(domains[k + 1])))
+                break
+        else:
+            stack.pop()
+    return out
+
+
+def nat_via_limit(src: SetValuedFunctor, tgt: SetValuedFunctor) -> list[tuple[int, ...]]:
+    """lim over ∫src of tgt: the families (a_(x,e)) over the points of ∫src,
+    ascending, with tgt(f)(a_(a,e)) = a_(b,src(f)e) for each f from a to b in
+    the variance, lexicographic.  Each is one transformation src => tgt."""
     if src.cat != tgt.cat or src.variance != tgt.variance:
         raise ValueError("source and target must share base and variance")
-    cat = src.cat
-    per_object = [
-        list(itertools.product(range(tgt.sizes[x]), repeat=src.sizes[x]))
-        for x in cat.objects]
-    for components in itertools.product(*per_object):
-        alpha = NatTransData(src, tgt, components)
-        if check_nat(alpha):
-            yield alpha
+    start = list(itertools.accumulate(src.sizes, initial=0))
+    equations = [(start[src.source_obj(f)] + e, tgt.action[f], start[src.target_obj(f)] + t)
+                 for f, moved in enumerate(src.action) for e, t in enumerate(moved)]
+    return compatible_families(
+        [tgt.sizes[x] for x in src.cat.objects for _ in src.carrier(x)], equations)
+
+
+def all_nat_transformations(src: SetValuedFunctor, tgt: SetValuedFunctor):
+    """Every natural transformation src => tgt, lexicographic in its
+    components: the families of ``nat_via_limit`` cut per object."""
+    start = list(itertools.accumulate(src.sizes, initial=0))
+    for values in nat_via_limit(src, tgt):
+        yield NatTransData(src, tgt, tuple(values[start[x]:start[x + 1]]
+                                           for x in src.cat.objects))
 
 
 def identity_nat(fn: SetValuedFunctor) -> NatTransData:

@@ -1,8 +1,7 @@
 """Models of a finite site: lex, cover-preserving set-valued functors.
 
-Enumeration, the Nat-limit bijection over the category of elements, the
-lex-cover-preserving hull, and the Kan-extension point functor (a union-find
-colimit over elements).
+Enumeration, the category of elements, the lex-cover-preserving hull, and
+the Kan-extension point functor (a union-find colimit over elements).
 """
 
 from __future__ import annotations
@@ -261,31 +260,6 @@ def enumerate_lex_functors(cat: FinCategory, bound: int) -> list[SetValuedFuncto
 def elements_category(m: SetValuedFunctor):
     """Objects of ∫M as (object, point) pairs in ascending order."""
     return [(x, p) for x in m.cat.objects for p in m.carrier(x)]
-
-
-def nat_via_limit(m: SetValuedFunctor, n: SetValuedFunctor) -> list[tuple[int, ...]]:
-    """lim over ∫M of N(x): families (a_(x,p)) with N(f)(a_(x,p)) = a_(y,M(f)p).
-
-    Returned in lexicographic order over the ascending element list.
-    """
-    cat = m.cat
-    elems = elements_category(m)
-    position = {e: k for k, e in enumerate(elems)}
-    out = []
-    for values in itertools.product(*[n.carrier(x) for x, _ in elems]):
-        ok = True
-        for f in cat.morphisms:
-            x, y = cat.dom[f], cat.cod[f]
-            for p in m.carrier(x):
-                if n.action[f][values[position[(x, p)]]] \
-                        != values[position[(y, m.action[f][p])]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(values)
-    return out
 
 
 def lex_hull(site: SiteSpec, m: SetValuedFunctor, seed) -> tuple[tuple[int, ...], ...]:

@@ -8,13 +8,12 @@ every downstream table is bit-identical across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .fincat import (CONTRAVARIANT, FinCategory, NatTransData, SetValuedFunctor,
-                     all_nat_transformations, compose_nat, op_category,
-                     order_closure, representable_presheaf)
+                     all_nat_transformations, compatible_families, compose_nat,
+                     op_category, order_closure, representable_presheaf)
 from .site import Sieve, SieveTopology, SiteSpec, site_topology
 
 
@@ -43,19 +42,10 @@ def matching_families(p: SetValuedFunctor, sieve: Sieve):
     cat = p.cat
     arrows = _sorted_arrows(sieve)
     position = {f: k for k, f in enumerate(arrows)}
-    out = []
-    for values in itertools.product(*[p.carrier(cat.dom[f]) for f in arrows]):
-        ok = True
-        for f in arrows:
-            for g in cat.into(cat.dom[f]):
-                if values[position[cat.comp[f][g]]] != p.action[g][values[position[f]]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(values)
-    return arrows, out
+    comp, action, dom, identity = cat.comp, p.action, cat.dom, cat.identity
+    equations = [(k, action[g], position[comp[f][g]]) for k, f in enumerate(arrows)
+                 for g in cat.into(dom[f]) if g != identity[dom[f]]]  # P(id) is the identity
+    return arrows, compatible_families([p.sizes[dom[f]] for f in arrows], equations)
 
 
 def _families_on(p: SetValuedFunctor, sieve: Sieve):
@@ -363,8 +353,9 @@ def _maximal(items, above) -> list:
 
 def representable_map_into(site: SiteSpec, z: int, target: SetValuedFunctor,
                            section: int) -> NatTransData:
-    """The map ay(z) => F classified by a section of F(z), found by brute
-    force and pinned at the generic point (unique when F is a sheaf)."""
+    """The map ay(z) => F classified by a section of F(z): the first
+    transformation in ``all_nat_transformations`` order that sends the
+    generic point to it (unique when F is a sheaf)."""
     cat = site.cat
     sh_z = ay(site, z)
     id_pos = cat.hom(z, z).index(cat.identity[z])

@@ -20,11 +20,12 @@ from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
                            WITNESS, Cotree, CotreeNode, SeparationResult,
                            branch_colimit, run_branch, unpairing)
 from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
-                            FunctorData, NatTransData, SetValuedFunctor,
+                            FunctorData, NatTransData, SetValuedFunctor, check_nat,
                             make_category, poset_category, validate_functor,
                             validate_set_functor)
 from finsite.lattice import FinLattice, downset_lattice
-from finsite.presheaf import PlusData, _sorted_arrows, matching_families
+from finsite.models import elements_category
+from finsite.presheaf import PlusData, _sorted_arrows
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
                           family_covers, generated_sieve, is_sieve, maximal_sieve,
                           pull_sieve, pullback_closure, site_topology)
@@ -300,6 +301,70 @@ def slow_sieve_topology(site: SiteSpec) -> SlowTopology:
     return SlowTopology(cat, tuple(frozenset(j[y]) for y in cat.objects))
 
 
+def slow_all_nat_transformations(src: SetValuedFunctor, tgt: SetValuedFunctor):
+    """Every natural transformation src => tgt, by brute force over component
+    tuples in lexicographic order with a full naturality filter."""
+    if src.cat != tgt.cat or src.variance != tgt.variance:
+        raise ValueError("source and target must share base and variance")
+    cat = src.cat
+    per_object = [
+        list(itertools.product(range(tgt.sizes[x]), repeat=src.sizes[x]))
+        for x in cat.objects]
+    for components in itertools.product(*per_object):
+        alpha = NatTransData(src, tgt, components)
+        if check_nat(alpha):
+            yield alpha
+
+
+def slow_nat_via_limit(m: SetValuedFunctor, n: SetValuedFunctor) -> list[tuple[int, ...]]:
+    """lim over ∫M of N(x): families (a_(x,p)) with N(f)(a_(x,p)) = a_(y,M(f)p).
+
+    Returned in lexicographic order over the ascending element list.
+    """
+    cat = m.cat
+    elems = elements_category(m)
+    position = {e: k for k, e in enumerate(elems)}
+    out = []
+    for values in itertools.product(*[n.carrier(x) for x, _ in elems]):
+        ok = True
+        for f in cat.morphisms:
+            x, y = cat.dom[f], cat.cod[f]
+            for p in m.carrier(x):
+                if n.action[f][values[position[(x, p)]]] \
+                        != values[position[(y, m.action[f][p])]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(values)
+    return out
+
+
+def slow_matching_families(p: SetValuedFunctor, sieve: Sieve):
+    """All compatible assignments over the sieve, lexicographic in arrow order.
+
+    An assignment gives each arrow f in the sieve an element of P(dom f);
+    compatibility demands assignment(f∘g) = P(g)(assignment(f)).
+    """
+    cat = p.cat
+    arrows = _sorted_arrows(sieve)
+    position = {f: k for k, f in enumerate(arrows)}
+    out = []
+    for values in itertools.product(*[p.carrier(cat.dom[f]) for f in arrows]):
+        ok = True
+        for f in arrows:
+            for g in cat.into(cat.dom[f]):
+                if values[position[cat.comp[f][g]]] != p.action[g][values[position[f]]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(values)
+    return arrows, out
+
+
 def _agrees_on_refinement(cat, topology, x, fam1, fam2):
     """(S1,m1) ~ (S2,m2): agreement on some covering sieve inside S1 ∩ S2."""
     (s1, pos1, m1), (s2, pos2, m2) = fam1, fam2
@@ -321,7 +386,7 @@ def slow_plus(p: SetValuedFunctor, topology: SlowTopology) -> PlusData:
     for x in cat.objects:
         fams = []
         for sieve in topology.covering_sieves(x):
-            arrows, assignments = matching_families(p, sieve)
+            arrows, assignments = slow_matching_families(p, sieve)
             pos = {f: k for k, f in enumerate(arrows)}
             for assignment in assignments:
                 fams.append((sieve, arrows, pos, assignment))
@@ -383,7 +448,7 @@ def slow_is_sheaf(p: SetValuedFunctor, topology: SlowTopology) -> bool:
     cat = p.cat
     for x in cat.objects:
         for sieve in topology.covering_sieves(x):
-            arrows, fams = matching_families(p, sieve)
+            arrows, fams = slow_matching_families(p, sieve)
             images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(x)}
             if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
                 return False

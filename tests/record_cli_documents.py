@@ -11,9 +11,9 @@ pbool_3 and chain_6 at bound 2.  The topology cases are ``saturate --json``
 on every fixture, bool_3, grid_3x4 and pbool_3, and ``sheafify --json`` on
 every object of bool_3.  The factor cases are ``factor --json`` for every
 ordered pair of objects of every fixture, the only documents that list
-natural transformations in enumeration order.  The poset sites are named and covered as
-the benchmark's ladder writes them; every site that is not a fixture is
-written to a temporary file.  Each document is kept as its exit code and
+natural transformations in enumeration order.  The poset sites are named
+and covered as the benchmark's ladder writes them; every site that is not
+a fixture is written to a temporary file.  Each document is kept as its exit code and
 the SHA-256 of its stdout bytes.
 
 Run from the root of a checkout, only when a change to the chase, the

@@ -9,7 +9,7 @@ import pytest
 
 from finsite import chase, fixtures, lattice
 from finsite.cli import _FLAGS, HANDLERS, build_parser, main
-from finsite.fincat import compose_nat, representable_presheaf
+from finsite.fincat import compose_nat, make_category, representable_presheaf
 from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
 
@@ -39,6 +39,26 @@ def test_round_trip_all_fixtures():
     for name in fixtures.SITE_NAMES:
         site = fixtures.load_site(name)
         assert parse_site(print_site(site)) == site, name
+
+
+def test_unnamed_sites_round_trip_through_print_site():
+    """Identity legs and identity composites of a category without names
+    print as ``id_<object>``, which the parser reads back."""
+    chain = poset_category([[True, True], [False, True]])
+    sites = [SiteSpec.make(chain, [Family.make(1, [1])]),
+             SiteSpec.make(chain, [Family.make(1, [1]), Family.make(1, [1, 2])])]
+    # an involution s on object 0 over object 1, with s∘s = id
+    involution = make_category(2, [(0, 0), (0, 1)], {(2, 2): 0, (3, 2): 3})
+    sites.append(SiteSpec.make(involution, [Family.make(0, [0, 2]),
+                                            Family.make(1, [1])]))
+    for site in sites:
+        text = print_site(site)
+        parsed = parse_site(text)
+        cat, back = site.cat, parsed.cat
+        assert (back.dom, back.cod, back.identity, back.comp) \
+            == (cat.dom, cat.cod, cat.identity, cat.comp), text
+        assert parsed.covers == site.covers, text
+        assert print_site(parsed) == text
 
 
 def _assert_round_trip(site):

@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fixtures
-from finsite.fincat import (UNDEFINED, FinCategory, NatTransData,
-                            all_nat_transformations, check_nat, hom_set,
-                            identity_nat, is_epi, is_mono, op_category,
-                            order_closure, poset_category, validate_category)
-from finsite.models import ModelBound, enumerate_models
+from finsite.fincat import (COVARIANT, UNDEFINED, FinCategory, NatTransData,
+                            SetValuedFunctor, all_nat_transformations, check_nat,
+                            compatible_families, constant_singleton, hom_set,
+                            identity_nat, is_epi, is_mono, make_category,
+                            nat_via_limit, op_category, order_closure,
+                            poset_category, validate_category)
+from finsite.models import (ModelBound, enumerate_lex_functors, enumerate_models,
+                            enumerate_set_functors)
 
 from helpers import (boolean_leq, equalized_fork_category, fork_category,
                      involution_category, iso_pair_category, left_zero_monoid,
-                     posets, slow_validate_category)
+                     posets, slow_all_nat_transformations, slow_nat_via_limit,
+                     slow_validate_category)
 
 POINT = fixtures.load_site("point").cat
 DIAMOND = fixtures.load_site("diamond").cat
@@ -221,6 +225,72 @@ def test_brute_force_nat_enumeration_matches_filter():
     counts = [[len(list(all_nat_transformations(m, n))) for n in models]
               for m in models]
     assert counts == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+
+
+def _assert_nat_matches_the_oracles(functors, label):
+    """Nat and lim over ∫M, lists in order, against the brute forces on
+    every ordered pair of ``functors``."""
+    for m in functors:
+        for n in functors:
+            assert list(all_nat_transformations(m, n)) \
+                == list(slow_all_nat_transformations(m, n)), label
+            assert nat_via_limit(m, n) == slow_nat_via_limit(m, n), label
+
+
+NON_THIN = {"fork": fork_category, "equalized_fork": equalized_fork_category,
+            "involution": involution_category, "iso_pair": iso_pair_category,
+            "left_zero_monoid": left_zero_monoid}
+
+
+def test_nat_matches_the_brute_force_on_lex_functor_pairs():
+    cats = {name: site.cat for name, site in ALL_SITES.items()}
+    cats.update((name, make()) for name, make in NON_THIN.items())
+    for name, cat in cats.items():
+        _assert_nat_matches_the_oracles(enumerate_lex_functors(cat, 3), name)
+    # the left-zero monoid has no lex functor: take every functor there
+    for name in ("involution", "iso_pair", "left_zero_monoid"):
+        functors = list(enumerate_set_functors(NON_THIN[name](), 2))
+        assert functors, name
+        _assert_nat_matches_the_oracles(functors, name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets(max_objects=5))
+def test_nat_matches_the_brute_force_on_random_posets(leq):
+    _assert_nat_matches_the_oracles(enumerate_lex_functors(poset_category(leq), 2), leq)
+
+
+def test_nat_out_of_a_large_carrier_needs_no_recursion_per_element():
+    cat = make_category(1, [], {})
+    big = SetValuedFunctor(cat, COVARIANT, (1500,), (tuple(range(1500)),))
+    only = list(all_nat_transformations(big, constant_singleton(cat)))
+    assert [alpha.components for alpha in only] == [((0,) * 1500,)]
+
+
+@st.composite
+def equation_systems(draw):
+    """Domains of up to five variables and equations v[j] = row[v[i]] among
+    them, self-equations included."""
+    domains = draw(st.lists(st.integers(0, 3), max_size=5))
+    equations = []
+    if domains:
+        ends = st.integers(0, len(domains) - 1)
+        for i, j in draw(st.lists(st.tuples(ends, ends), max_size=6)):
+            if domains[i] and not domains[j]:
+                continue  # no function into an empty domain
+            row = draw(st.lists(st.integers(0, max(domains[j] - 1, 0)),
+                                min_size=domains[i], max_size=domains[i]))
+            equations.append((i, tuple(row), j))
+    return domains, equations
+
+
+@settings(max_examples=200, deadline=None)
+@given(equation_systems())
+def test_compatible_families_is_the_filtered_product(system):
+    domains, equations = system
+    expected = [v for v in itertools.product(*map(range, domains))
+                if all(v[j] == row[v[i]] for i, row, j in equations)]
+    assert compatible_families(domains, equations) == expected
 
 
 def test_op_category_involutive_and_valid():

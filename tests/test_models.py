@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from finsite import fixtures, limits, models
 from finsite.fincat import (COVARIANT, SetValuedFunctor,
-                            all_nat_transformations, poset_category,
-                            validate_set_functor)
+                            all_nat_transformations, nat_via_limit,
+                            poset_category, validate_set_functor)
 from finsite.eventual import NatTable
 from finsite.models import (ModelBound, _square_holds,
                             elements_category, enumerate_lex_functors,
                             enumerate_models, enumerate_set_functors,
-                            eta_check, lan_ay, lan_map, lex_hull,
-                            nat_via_limit, is_lex, preserves_covers,
-                            subfunctor)
+                            eta_check, is_lex, lan_ay, lan_map, lex_hull,
+                            preserves_covers, subfunctor)
 from finsite.limits import _lex_probes, pullback, terminal_object
 from finsite.presheaf import ay
 from finsite.site import Family, SiteSpec
@@ -24,8 +23,9 @@ from finsite.site import Family, SiteSpec
 from helpers import (boolean_leq, cospan_only_category, discrete2_category,
                      equalized_fork_category, fork_category, grid_leq, involution_category,
                      iso_pair_category, left_zero_monoid, poset_site, posets,
-                     random_covers_site, slow_is_lex, slow_models,
-                     slow_preserves_covers, slow_enumerate_functors)
+                     random_covers_site, slow_all_nat_transformations,
+                     slow_enumerate_functors, slow_is_lex, slow_models,
+                     slow_nat_via_limit, slow_preserves_covers)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -90,14 +90,20 @@ def test_square_check_demands_an_injective_comparison():
     assert not _square_holds(two_points, *meet)
 
 
+def _assert_table_matches_the_oracles(table, label):
+    """Each hom set and limit of the table equals its brute force, in order,
+    and the pairing between them is a bijection."""
+    for i, m in enumerate(table.functors):
+        for j, n in enumerate(table.functors):
+            assert [alpha.components for alpha in table.hom(i, j)] \
+                == [alpha.components for alpha in slow_all_nat_transformations(m, n)], label
+            assert table.limit(i, j) == slow_nat_via_limit(m, n), label
+            assert table.pairing(i, j) is not None, label
+
+
 def test_nat_counts_and_limit_formula_agree():
     models = [m.functor for m in enumerate_models(DIAMOND_SITE, ModelBound(1))]
-    table = NatTable(models)
-    for i in range(len(models)):
-        for j in range(len(models)):
-            nats, families, pairing = table.hom(i, j), table.limit(i, j), table.pairing(i, j)
-            assert pairing is not None
-            assert len(nats) == len(families) == len(set(pairing))
+    _assert_table_matches_the_oracles(NatTable(models), "diamond")
     # frozen counts: models sorted as (0,0,1,1), (0,1,0,1), (1,1,1,1)
     grid = [[len(list(all_nat_transformations(m, n))) for n in models] for m in models]
     assert grid == [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
@@ -108,13 +114,7 @@ def test_nat_counts_and_limit_formula_agree():
 def test_nat_formula_on_all_pairs_of_all_fixtures():
     for name, site in ALL_SITES.items():
         models = [m.functor for m in enumerate_models(site, ModelBound(2))]
-        table = NatTable(models)
-        for i in range(len(models)):
-            for j in range(len(models)):
-                nats, families, pairing = (table.hom(i, j), table.limit(i, j),
-                                           table.pairing(i, j))
-                assert pairing is not None, name
-                assert len(nats) == len(families) == len(set(pairing)), name
+        _assert_table_matches_the_oracles(NatTable(models), name)
 
 
 def test_lex_hull_of_everything_is_everything():

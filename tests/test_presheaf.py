@@ -17,11 +17,15 @@ from finsite.presheaf import (FactorizationError, SheafObject, _maximal,
                               factor_through_cover, is_sheaf, matching_families,
                               plus, sheaf_for_family, sheafified_postcompose,
                               sheafify, ay)
-from finsite.site import Family, Sieve, SiteSpec, site_topology, tree_saturation
+from finsite.site import (Family, Sieve, SiteSpec, all_sieves, site_topology,
+                          tree_saturation)
 
-from helpers import (fresh_site, glue_site, nat_is_pointwise_bijective,
+from helpers import (fork_category, fresh_site, glue_site, involution_category,
+                     left_zero_monoid, nat_is_pointwise_bijective,
                      nat_is_pointwise_injective, oracle_sites, posets,
-                     random_covers_site, slow_is_sheaf, slow_plus, slow_sieve_topology)
+                     random_covers_site, slow_all_nat_transformations,
+                     slow_is_sheaf, slow_matching_families, slow_plus,
+                     slow_sieve_topology)
 
 DIAMOND_SITE = fixtures.load_site("diamond")
 DIAMOND = DIAMOND_SITE.cat
@@ -381,6 +385,27 @@ def test_plus_and_is_sheaf_match_the_covering_sieve_oracle_on_random_posets(leq,
     site = random_covers_site(poset_category(leq), seed)
     bound = 2 if len(leq) <= 4 else 1
     _assert_plus_matches_oracle(site, bound, seed)
+
+
+def test_matching_families_match_the_brute_force_on_every_sieve():
+    cats = {name: fixtures.load_site(name).cat for name in ("diamond", "wide5")}
+    cats.update(involution=involution_category(), fork=fork_category(),
+                left_zero_monoid=left_zero_monoid())
+    for name, cat in cats.items():
+        sieves = [sieve for y in cat.objects for sieve in all_sieves(cat, y)]
+        for p in enumerate_presheaves(cat, 2):
+            for sieve in sieves:
+                assert matching_families(p, sieve) == slow_matching_families(p, sieve), \
+                    (name, p.sizes, sorted(sieve.arrows))
+
+
+def test_maps_between_sheafified_representables_match_the_brute_force():
+    for name, site in fixtures.all_sites().items():
+        sheaves = [ay(site, x).sheaf.presheaf for x in site.cat.objects]
+        for source in sheaves:
+            for target in sheaves:
+                assert list(all_nat_transformations(source, target)) \
+                    == list(slow_all_nat_transformations(source, target)), name
 
 
 def test_class_of_restricts_to_the_least_covering_sieve():
