@@ -6,8 +6,8 @@ Budgets are honest: BUDGET_EXCEEDED is a first-class outcome and no colimit
 is ever extrapolated from an unfinished branch.
 
 The per-site tables (task lists, dead and stable objects, verified branch
-colimits, explored cotrees) live in ``SiteSpec._table``, filled here on
-first use, so a chase step never hashes the site.
+colimits, explored cotrees) are kept on the site by ``fincat.kept`` at first
+use, so a chase step never hashes the site.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import limits
-from .fincat import constant_singleton, covariant_representable
+from .fincat import constant_singleton, covariant_representable, kept
 from .models import Model, is_lex, preserves_covers
 from .site import Family, MissingPullbackError, SiteSpec
 
@@ -82,39 +82,35 @@ def nonempty_covers(site: SiteSpec) -> list[Family]:
     return [fam for fam in site.covers if fam.legs]
 
 
+@kept
 def _task_list(site: SiteSpec, u: int) -> tuple[Task, ...]:
     """T_u: every (arrow out of u, nonempty family on its codomain) diagram,
     ordered by (arrow id, family position)."""
-    table = site._table
-    key = ("tasks", u)
-    if key not in table:
-        cat = site.cat
-        fams = nonempty_covers(site)
-        table[key] = tuple(Task(arrow, fam) for arrow in cat.out_of(u)
-                           for fam in fams if fam.codomain == cat.cod[arrow])
-    return table[key]
+    cat = site.cat
+    fams = nonempty_covers(site)
+    return tuple(Task(arrow, fam) for arrow in cat.out_of(u)
+                 for fam in fams if fam.codomain == cat.cod[arrow])
 
 
+@kept
 def _dead_objects(site: SiteSpec) -> frozenset[int]:
     """Objects whose branches are written off: the strict initial (unless the
     site is degenerate and it is also terminal, where the dichotomy is
     non-exclusive) and everything that maps into an empty-covered object."""
-    table = site._table
-    if "dead" not in table:
-        cat = site.cat
-        dead = set()
-        initial = limits.strict_initial(cat)
-        terminal = limits.terminal_object(cat)
-        if initial is not None and initial != terminal:
-            dead.add(initial)
-        empty_covered = {fam.codomain for fam in site.covers if not fam.legs}
-        for x in cat.objects:
-            if any(cat.hom(x, z) for z in empty_covered):
-                dead.add(x)
-        table["dead"] = frozenset(dead)
-    return table["dead"]
+    cat = site.cat
+    dead = set()
+    initial = limits.strict_initial(cat)
+    terminal = limits.terminal_object(cat)
+    if initial is not None and initial != terminal:
+        dead.add(initial)
+    empty_covered = {fam.codomain for fam in site.covers if not fam.legs}
+    for x in cat.objects:
+        if any(cat.hom(x, z) for z in empty_covered):
+            dead.add(x)
+    return frozenset(dead)
 
 
+@kept
 def _stabilized_objects(site: SiteSpec) -> frozenset[int]:
     """u is stable when every arrow out of u factors through a leg of every
     scheduled family on its codomain: from such a u every present and future
@@ -123,16 +119,13 @@ def _stabilized_objects(site: SiteSpec) -> frozenset[int]:
     Quantifying over earlier stages is subsumed: composites out of u_n are
     themselves arrows out of u_n.
     """
-    table = site._table
-    if "stable" not in table:
-        cat = site.cat
-        fams = nonempty_covers(site)
-        table["stable"] = frozenset(
-            u for u in cat.objects
-            if all(any(cat.factors_through(h, leg) is not None for leg in fam.legs)
-                   for h in cat.out_of(u)
-                   for fam in fams if fam.codomain == cat.cod[h]))
-    return table["stable"]
+    cat = site.cat
+    fams = nonempty_covers(site)
+    return frozenset(
+        u for u in cat.objects
+        if all(any(cat.factors_through(h, leg) is not None for leg in fam.legs)
+               for h in cat.out_of(u)
+               for fam in fams if fam.codomain == cat.cod[h]))
 
 
 def solve_task(site: SiteSpec, branch_chain, stage: int, task: Task, leg_index: int):
@@ -213,25 +206,22 @@ def branch_colimit(branch: ChaseBranch) -> Model:
     nonempty cover (the empty ones were cancelled from the list).
 
     The model depends only on the status and, when stabilized, the current
-    object, so it is built and checked once per site and kept in its table.
+    object, so it is built and checked once per site and kept on it.
     """
-    site = branch.site
     if branch.status == DEAD:
-        key = ("colimit", DEAD)
-    elif branch.status == STABILIZED:
-        key = ("colimit", STABILIZED, branch.current)
-    else:
-        raise ValueError("branch exceeded its budget; no colimit is computed")
-    table = site._table
-    if key not in table:
-        if branch.status == DEAD:
-            functor = constant_singleton(site.cat)
-        else:
-            functor = covariant_representable(site.cat, branch.current)
-        nonempty = SiteSpec.make(site.cat, nonempty_covers(site))
-        table[key] = Model(functor, is_lex(site.cat, functor),
-                           preserves_covers(functor, nonempty))
-    return table[key]
+        return _colimit(branch.site, None)
+    if branch.status == STABILIZED:
+        return _colimit(branch.site, branch.current)
+    raise ValueError("branch exceeded its budget; no colimit is computed")
+
+
+@kept
+def _colimit(site: SiteSpec, stable: int | None) -> Model:
+    """The checked colimit of a DEAD branch (None) or one stable at ``stable``."""
+    functor = constant_singleton(site.cat) if stable is None \
+        else covariant_representable(site.cat, stable)
+    nonempty = SiteSpec.make(site.cat, nonempty_covers(site))
+    return Model(functor, is_lex(site.cat, functor), preserves_covers(functor, nonempty))
 
 
 @dataclass(frozen=True)
@@ -260,12 +250,13 @@ def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
     A child shares its parent's first d steps, d the parent's depth, and the
     parent took leg 0 at step d, so child 0 is the parent's branch itself
     and child k >= 1 runs on from the parent's state before step d.  The
-    cotree is kept in the site's table, one per (root, budget, width).
+    cotree is kept on the site, one per (root, budget, width).
     """
-    table = site._table
-    key = ("cotree", root, budget, width)
-    if key in table:
-        return table[key]
+    return _cotree(site, root, budget, width)
+
+
+@kept
+def _cotree(site: SiteSpec, root: int, budget: int, width: int | None) -> Cotree:
     leaves = []
     pruned = False
 
@@ -294,8 +285,7 @@ def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
     root_node = expand((), run_branch(site, root, strategy=(), budget=budget))
     terminated = all(leaf.status != BUDGET_EXCEEDED for leaf in leaves)
     live = any(leaf.status == STABILIZED for leaf in leaves)
-    table[key] = Cotree(root_node, tuple(leaves), terminated, live, pruned)
-    return table[key]
+    return Cotree(root_node, tuple(leaves), terminated, live, pruned)
 
 
 CONTAINED = "CONTAINED"
@@ -331,7 +321,8 @@ def separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
         connect = branch.composite_to(0)   # w -> dom(u)
         point = cat.comp[u][connect]       # [1_u] pushed into M(x)
         if not any(cat.comp[v][d] == point for d in cat.hom(w, cat.dom[v])):
-            assert model.is_lex and model.preserves_covers
+            if not (model.is_lex and model.preserves_covers):
+                raise AssertionError("the separating colimit is not a model")
             return SeparationResult(WITNESS, model, branch, explored)
     return SeparationResult(INCONCLUSIVE, leaves=explored)
 
@@ -360,7 +351,8 @@ def family_jointly_covers(site: SiteSpec, fam: Family, budget: int = 64,
                   for leg in fam.legs for d in cat.hom(w, cat.dom[leg]))
         if not hit:
             model = branch_colimit(branch)
-            assert model.is_lex and model.preserves_covers
+            if not (model.is_lex and model.preserves_covers):
+                raise AssertionError("the refuting colimit is not a model")
             return CoverCheckResult(False, model)
     if not tree.all_terminated or tree.pruned:
         return CoverCheckResult(None)  # an unexplored branch could refute

@@ -358,6 +358,9 @@ def main(argv=None) -> int:
         return _input_error(args, command, str(exc))
     try:
         code, result, witnesses, timings = HANDLERS[command](args, text, parsed)
+    except site_mod.TooManySievesError as exc:  # a valid site, too large to answer
+        code, result, witnesses, timings = EXIT_INCONCLUSIVE, {
+            "verdict": "INCONCLUSIVE", "detail": str(exc)}, [], {}
     except (ValueError, ValidationError) as exc:
         return _input_error(args, command, str(exc))
     except site_mod.MissingPullbackError as exc:

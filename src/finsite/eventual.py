@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
                      all_nat_transformations, compose_nat, covariant_representable,
-                     identity_nat, nat_via_limit)
+                     identity_nat, kept, nat_via_limit)
 from .models import (ModelBound, UnionFind, elements_category,
                      enumerate_lex_functors)
 from .site import SiteSpec
@@ -27,17 +27,18 @@ class NatTable:
 
     def __init__(self, functors):
         self.functors = tuple(functors)
-        for name in ("hom", "index", "composites", "limit", "pairing"):
-            setattr(self, name, cache(getattr(self, name)))
 
+    @kept
     def hom(self, i: int, j: int):
         """Nat(F_i, F_j) as a tuple of ``NatTransData``."""
         return tuple(all_nat_transformations(self.functors[i], self.functors[j]))
 
+    @kept
     def index(self, i: int, j: int) -> dict:
         """Components -> position in ``hom(i, j)``."""
         return {alpha.components: a for a, alpha in enumerate(self.hom(i, j))}
 
+    @kept
     def composites(self, i: int, j: int, k: int):
         """Row a, column b: the position in ``hom(i, k)`` of hom(j, k)[b]
         after hom(i, j)[a], or None when the composite is not listed."""
@@ -49,10 +50,12 @@ class NatTable:
                   for beta in self.hom(j, k))
             for alpha in self.hom(i, j))
 
+    @kept
     def limit(self, i: int, j: int) -> list[tuple[int, ...]]:
         """lim over ∫F_i of F_j, as ``nat_via_limit`` lists it."""
         return nat_via_limit(self.functors[i], self.functors[j])
 
+    @kept
     def pairing(self, i: int, j: int):
         """The canonical map Nat(F_i, F_j) -> lim over ∫F_i of F_j,
         alpha |-> (alpha_x(p)), as positions in ``limit(i, j)``; None unless

@@ -2,19 +2,38 @@
 
 Objects and morphisms are dense non-negative integer ids.  Every operation
 iterates in ascending id order, so results are reproducible across runs.
-All values are immutable after construction.
+Fields never change after construction; ``kept`` memoises derived tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 UNDEFINED = -1
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
+
+
+def kept(fn):
+    """Memoise ``fn(owner, *args)`` on the owner, in a dict keyed by ``args``
+    that ``owner.__dict__`` holds under fn's module and qualified name.  A
+    lookup never hashes the owner, and a value lives as long as its owner, so
+    equal but distinct owners keep separate tables.  A call that raises keeps
+    nothing; racing threads may compute an entry twice, with equal values."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def lookup(owner, *args):
+        try:
+            return owner.__dict__[name][args]
+        except KeyError:
+            pass
+        value = owner.__dict__.setdefault(name, {})[args] = fn(owner, *args)
+        return value
+    return lookup
 
 
 @dataclass(frozen=True)
@@ -108,24 +127,6 @@ class FinCategory:
         for f in self.morphisms:
             table[self.dom[f]].append(f)
         return tuple(tuple(cell) for cell in table)
-
-    @cached_property
-    def _pullback_table(self) -> dict:
-        """Cospan key -> canonical pullback square or None, filled by
-        limits.pullback: (f, g), or (dom f, dom g) on a thin category."""
-        return {}
-
-    @cached_property
-    def _sieve_table(self) -> dict:
-        """(y, mask of a sieve S on y) -> every sieve on y that contains S,
-        filled by site.sieves_containing."""
-        return {}
-
-    @cached_property
-    def _lex_probe_table(self) -> dict:
-        """The terminal object and the pullback squares that generate the
-        finite limits, filled by limits._lex_probes."""
-        return {}
 
     def is_identity(self, f: int) -> bool:
         return self.identity[self.dom[f]] == f

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import FinCategory, NatTransData, SetValuedFunctor, is_mono
+from .fincat import FinCategory, NatTransData, SetValuedFunctor, is_mono, kept
 
 
 @dataclass(frozen=True)
@@ -23,28 +23,25 @@ class PullbackSquare:
 def pullback(cat: FinCategory, f: int, g: int):
     """Canonical pullback of the cospan (f, g), or None if absent: the
     least-apex, then least-legs, cone that ``is_pullback`` accepts, which is
-    the terminal cone the exhaustive search meets first.
-
-    On a thin category the square depends on the leg domains alone: the
-    cone counts, so the apex, and the unique legs are all read off
-    hom(-, dom f) and hom(-, dom g).  Cospans with the same leg domains
-    share one square there.
+    the terminal cone the exhaustive search meets first.  Kept on the
+    category, per cospan, or per pair of leg domains on a thin category.
     """
-    cache = cat._pullback_table
-    key = _pullback_key(cat, f, g)
-    if key not in cache:
-        cache[key] = _pullback_square(cat, f, g)
-    return cache[key]
-
-
-def _pullback_key(cat: FinCategory, f: int, g: int):
-    """The key of the cospan (f, g) in ``cat._pullback_table``: (dom f, dom g)
-    on a thin category, once the codomains are checked, else (f, g)."""
     if not cat._thin:
-        return f, g
+        return _pullback_square(cat, f, g)
     if cat.cod[f] != cat.cod[g]:
         raise ValueError("cospan legs must share a codomain")
-    return cat.dom[f], cat.dom[g]
+    return _meet_square(cat, cat.dom[f], cat.dom[g])
+
+
+@kept
+def _meet_square(cat: FinCategory, a: int, b: int):
+    """The pullback of any cospan a -> y <- b of a thin category.  The cones
+    on w number |hom(w, a)|·|hom(w, b)|, so the apex is the first object
+    with that hom-count column, and its legs are the unique arrows."""
+    hom = cat._hom_table
+    counts = [len(row[a]) * len(row[b]) for row in hom]
+    x = next((x for x, column in enumerate(cat._hom_counts) if column == counts), None)
+    return None if x is None else PullbackSquare(x, hom[x][a][0], hom[x][b][0])
 
 
 def _cone_counts(cat: FinCategory, f: int, g: int) -> list[int]:
@@ -78,6 +75,7 @@ def is_pullback(cat: FinCategory, f: int, g: int, p: int, q: int) -> bool:
         and _terminal_cone(cat, _cone_counts(cat, f, g), p, q)
 
 
+@kept
 def _pullback_square(cat: FinCategory, f: int, g: int):
     """The first cone, by (apex, legs), that ``is_pullback`` accepts, trying
     only the apexes whose column equals the cone counts."""
@@ -103,6 +101,7 @@ def terminal_object(cat: FinCategory):
                 None)
 
 
+@kept
 def _lex_probes(cat: FinCategory):
     """Terminal object plus one canonical pullback square per unordered
     cospan: (f, g, square) for f <= g by id, since the squares of (f, g)
@@ -118,19 +117,16 @@ def _lex_probes(cat: FinCategory):
     of arrows into F(a) and F(b), so it factors through F(a ∧ b), and
     uniquely.
     """
-    table = cat._lex_probe_table
-    if "probes" not in table:
-        terminal = terminal_object(cat)
-        products_only = terminal is not None and cat._thin
-        squares = []
-        for f in cat.into(terminal) if products_only else cat.morphisms:
-            into = cat.into(cat.cod[f])
-            for g in into[into.index(f):]:
-                square = pullback(cat, f, g)
-                if square is not None:
-                    squares.append((f, g, square))
-        table["probes"] = (terminal, tuple(squares))
-    return table["probes"]
+    terminal = terminal_object(cat)
+    products_only = terminal is not None and cat._thin
+    squares = []
+    for f in cat.into(terminal) if products_only else cat.morphisms:
+        into = cat.into(cat.cod[f])
+        for g in into[into.index(f):]:
+            square = pullback(cat, f, g)
+            if square is not None:
+                squares.append((f, g, square))
+    return terminal, tuple(squares)
 
 
 def strict_initial(cat: FinCategory):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .fincat import (CONTRAVARIANT, FinCategory, NatTransData, SetValuedFunctor,
                      all_nat_transformations, compatible_families, compose_nat,
-                     op_category, order_closure, representable_presheaf)
+                     kept, op_category, order_closure, representable_presheaf)
 from .site import Sieve, SieveTopology, SiteSpec, site_topology
 
 
@@ -103,12 +103,13 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     family on J₀(x).  J₀(x) also comes first in ``Sieve.sort_key`` order, so
     that family is the least one of its class.  Restriction and the unit
     restrict to J₀ of the domain and look the result up.  The result is
-    kept in the topology's plus table.
+    kept on the topology, per presheaf value.
     """
-    table = topology._plus_table
-    found = table.get(p)
-    if found is not None:
-        return found
+    return _plus(topology, p)
+
+
+@kept
+def _plus(topology: SieveTopology, p: SetValuedFunctor) -> PlusData:
     cat = p.cat
     least = [_sorted_arrows(topology.least[x]) for x in cat.objects]
     families = [_families_on(p, topology.least[x])[1] for x in cat.objects]
@@ -132,8 +133,7 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     unit = NatTransData(p, plus_presheaf, unit_components)
     reps = tuple(tuple([(topology.least[x], least[x], m) for m in families[x]])
                  for x in cat.objects)
-    found = table[p] = PlusData(p, topology, plus_presheaf, unit, reps)
-    return found
+    return PlusData(p, topology, plus_presheaf, unit, reps)
 
 
 def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
@@ -214,13 +214,10 @@ def sheafify_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
     return plus_map(plus_map(theta, topology), topology)
 
 
+@kept
 def ay(site: SiteSpec, x: int) -> Sheafification:
-    """Sheafification of the representable at x, kept in the site's table."""
-    table = site._table
-    key = ("ay", x)
-    if key not in table:
-        table[key] = sheafify(representable_presheaf(site.cat, x), site_topology(site))
-    return table[key]
+    """Sheafification of the representable at x, kept on the site."""
+    return sheafify(representable_presheaf(site.cat, x), site_topology(site))
 
 
 def postcompose_nat(cat: FinCategory, g: int) -> NatTransData:
@@ -236,13 +233,10 @@ def postcompose_nat(cat: FinCategory, g: int) -> NatTransData:
     return NatTransData(src, tgt, tuple(components))
 
 
+@kept
 def sheafified_postcompose(site: SiteSpec, g: int) -> NatTransData:
-    """a((g)_*): ay(dom g) => ay(cod g), kept in the site's table."""
-    table = site._table
-    key = ("postcompose", g)
-    if key not in table:
-        table[key] = sheafify_map(postcompose_nat(site.cat, g), site_topology(site))
-    return table[key]
+    """a((g)_*): ay(dom g) => ay(cod g), kept on the site."""
+    return sheafify_map(postcompose_nat(site.cat, g), site_topology(site))
 
 
 def _unit_tables(site: SiteSpec, x: int):

@@ -9,14 +9,17 @@ terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import limits
-from .fincat import FinCategory, FunctorData, validate_category, validate_functor
+from .fincat import FinCategory, FunctorData, kept, validate_category, validate_functor
 
 # guard for the per-object sieve enumeration, on the arrows outside the
 # sieve it starts from; fixtures stay far below it
 MAX_ARROWS_FOR_SIEVES = 20
+
+
+class TooManySievesError(ValueError):
+    """A valid site with too many arrows into an object to list its sieves."""
 
 
 class MissingPullbackError(Exception):
@@ -48,20 +51,6 @@ class SiteSpec:
     @staticmethod
     def make(cat, covers) -> "SiteSpec":
         return SiteSpec(cat, tuple(sorted(set(covers), key=Family.sort_key)))
-
-    @cached_property
-    def _table(self) -> dict:
-        """Per-site derived data, filled on first use: the chase's task
-        lists, dead and stable objects, branch colimits and cotrees, and
-        presheaf's sheafified representables and post-compositions.  It
-        lives on the site, not the category, because it depends on the
-        covers."""
-        return {}
-
-    @cached_property
-    def _topology(self) -> "SieveTopology":
-        """The generated sieve topology, computed once per site."""
-        return generate_sieve_topology(self)
 
 
 def validate_site(site: SiteSpec) -> list[str]:
@@ -236,6 +225,7 @@ def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
     return sieves_containing(cat, Sieve(y, frozenset()))
 
 
+@kept
 def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
     """Every sieve on y = start.target that contains ``start``, in
     ``Sieve.sort_key`` order: the down-sets of into(y) under factorization.
@@ -244,16 +234,12 @@ def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
     it with its principal sieve {f∘g}, or drop it with every arrow that f
     factors through.  Each leaf is a distinct down-set containing start.
     Only the arrows outside start count against the guard, and the result
-    is kept in the category's sieve table under (y, mask of start).
+    is kept on the category, per start sieve.
     """
     y = start.target
-    key = (y, _mask(start.arrows))
-    table = cat._sieve_table
-    if key in table:
-        return table[key]
     arrows = cat.into(y)
     if len(arrows) - len(start.arrows) > MAX_ARROWS_FOR_SIEVES:
-        raise ValueError(f"too many arrows into {y} to enumerate sieves")
+        raise TooManySievesError(f"too many arrows into {y} to enumerate sieves")
     position = {f: i for i, f in enumerate(arrows)}
     below = [0] * len(arrows)  # bit j: arrow j factors through arrow i
     above = [0] * len(arrows)  # bit j: arrow i factors through arrow j
@@ -264,18 +250,17 @@ def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
             above[j] |= 1 << i
     everything = (1 << len(arrows)) - 1
     out = []
-    stack = [(_mask(position[f] for f in start.arrows), 0)]  # (kept, dropped)
+    stack = [(_mask(position[f] for f in start.arrows), 0)]  # (held, dropped)
     while stack:
-        kept, dropped = stack.pop()
-        undecided = everything & ~(kept | dropped)
+        held, dropped = stack.pop()
+        undecided = everything & ~(held | dropped)
         if not undecided:
-            out.append(Sieve(y, frozenset(arrows[i] for i in _bits(kept))))
+            out.append(Sieve(y, frozenset(arrows[i] for i in _bits(held))))
             continue
         i = (undecided & -undecided).bit_length() - 1
-        stack.append((kept | below[i], dropped))
-        stack.append((kept, dropped | above[i]))
-    table[key] = tuple(sorted(out, key=Sieve.sort_key))
-    return table[key]
+        stack.append((held | below[i], dropped))
+        stack.append((held, dropped | above[i]))
+    return tuple(sorted(out, key=Sieve.sort_key))
 
 
 @dataclass(frozen=True)
@@ -298,11 +283,6 @@ class SieveTopology:
         """Every covering sieve on y in ``Sieve.sort_key`` order, J₀(y) first:
         the sieves that contain J₀(y)."""
         return list(sieves_containing(self.cat, self.least[y]))
-
-    @cached_property
-    def _plus_table(self) -> dict:
-        """presheaf -> its plus-construction, filled by presheaf.plus."""
-        return {}
 
 
 def generate_sieve_topology(site: SiteSpec) -> SieveTopology:
@@ -348,9 +328,10 @@ def generate_sieve_topology(site: SiteSpec) -> SieveTopology:
                                     for x in cat.objects))
 
 
+@kept
 def site_topology(site: SiteSpec) -> SieveTopology:
     """The site's generated sieve topology, kept on the site."""
-    return site._topology
+    return generate_sieve_topology(site)
 
 
 def family_covers(site: SiteSpec, topology: SieveTopology, fam: Family) -> bool:

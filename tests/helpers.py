@@ -55,6 +55,13 @@ def fresh_site(site: SiteSpec) -> SiteSpec:
     return SiteSpec(dataclasses.replace(site.cat), site.covers)
 
 
+def kept_entries(owner, fn) -> dict:
+    """The live table that ``fn``, a ``fincat.kept`` function, keeps on
+    ``owner``: the arguments after the owner, as a tuple -> value.  A test
+    may read it or seed it."""
+    return vars(owner).setdefault(f"{fn.__module__}.{fn.__qualname__}", {})
+
+
 def discrete2_category() -> FinCategory:
     return make_category(2, [], {}, ("x", "y"), ())
 

@@ -1,5 +1,9 @@
 """The chase: pairing fairness, branch runs, colimits, separation, covers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -463,3 +467,35 @@ def test_warm_cover_check_runs_no_chase_step(monkeypatch):
     separate_subobjects(site, 3, 3, 7)  # the same (root, budget, width) cotree
     assert steps == []
     assert trees[2] is trees[0]
+
+
+# a fresh process that makes every branch colimit claim it is not lex, then
+# asks for a separating witness and for a refuting countermodel
+NON_LEX_WITNESSES = """
+import dataclasses, sys
+sys.path.insert(0, sys.argv[1])
+from finsite import chase, fixtures
+from finsite.site import Family
+real = chase.branch_colimit
+chase.branch_colimit = lambda branch: dataclasses.replace(real(branch), is_lex=False)
+site = fixtures.load_site("diamond")
+if not sys.flags.optimize:
+    sys.exit("not run under python -O")
+for check in (lambda: chase.separate_subobjects(site, 3, 7, 8),
+              lambda: chase.family_jointly_covers(site, Family.make(3, [7]))):
+    try:
+        check()
+    except AssertionError:
+        continue
+    sys.exit("a witness that is not a model was returned")
+"""
+
+
+def test_witness_rechecks_survive_python_O():
+    """Under ``python -O``, which strips ``assert`` statements, a separation
+    witness or a refuting countermodel that is not a lex, cover-preserving
+    model still raises AssertionError instead of being returned."""
+    src = os.path.dirname(os.path.dirname(chase.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", NON_LEX_WITNESSES, src],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")

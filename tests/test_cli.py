@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -20,9 +23,9 @@ from finsite.fincat import poset_category
 from finsite.limits import terminal_object
 from finsite.site import Family, SiteSpec, validate_site
 
-from helpers import (cospan_only_category, discrete2_category,
+from helpers import (boolean_leq, cospan_only_category, discrete2_category,
                      equalized_fork_category, fork_category, involution_category,
-                     iso_pair_category, left_zero_monoid, posets,
+                     iso_pair_category, left_zero_monoid, poset_site, posets,
                      random_covers_site, slow_plus, slow_sieve_topology)
 from record_cli_documents import (DOCUMENTS, chase_cli_cases, digest,
                                   eventual_cli_cases, factor_cli_cases,
@@ -611,6 +614,23 @@ def test_delta_check_bound_too_small_is_inconclusive(capsys, tmp_path):
     assert "escapes the bound" in result["detail"]
 
 
+def test_sheafify_past_the_sieve_guard_is_inconclusive(capsys, tmp_path):
+    """bool_5 is a valid site, but its top object has too many arrows into
+    it to list its covering sieves: sheafify reports INCONCLUSIVE with the
+    input's digest and exits 2, for the bottom and the top object alike."""
+    text = print_site(poset_site(boolean_leq(5)))
+    path = tmp_path / "bool_5.site"
+    path.write_text(text)
+    for obj in ("0", "31"):
+        code, out = run_cli(capsys, "sheafify", str(path), "--object", obj, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": "sheafify", "input_digest": hashlib.sha256(text.encode()).hexdigest(),
+            "result": {"verdict": "INCONCLUSIVE",
+                       "detail": "too many arrows into 31 to enumerate sieves"},
+            "witnesses": [], "timings": {}}
+
+
 def test_saturate_missing_pullback_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "cospan.site"
     path.write_text("poset { a < T  b < T }\ncover T <- [id_T]\n"
@@ -635,3 +655,28 @@ def test_models_counter_counts_models(capsys):
                         "--bound", "1", "--json")
     assert code == 0
     assert json.loads(out)["timings"] == {"models": 3}
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# as a benchmark worker does: put src/ on the path, then import the CLI
+RUN_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from finsite.cli import main; sys.exit(main(sys.argv[2:]))")
+
+
+@pytest.mark.parametrize("command, name", [("models", "wide5"),
+                                           ("delta-check", "chain3"),
+                                           ("eta-check", "chain3")])
+def test_a_fresh_isolated_process_prints_the_in_process_document(capsys, command, name):
+    """``python -I`` ignores the environment, so strings hash with a random
+    seed; ``-s`` runs pin the seed to 0 and to 1.  Each fresh process exits
+    0, writes nothing to stderr and prints the bytes ``main`` prints here."""
+    argv = [command, fixture_path(f"{name}.site"), "--bound", "2", "--json"]
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+    runs = [("-I", None)] + [("-s", {**os.environ, "PYTHONHASHSEED": seed})
+                             for seed in ("0", "1")]
+    for flag, env in runs:
+        proc = subprocess.run([sys.executable, flag, "-c", RUN_MAIN, SRC, *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) \
+            == (0, b"", expected.encode()), (flag, env and env["PYTHONHASHSEED"])

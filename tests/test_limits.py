@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from finsite import fixtures, limits
 from finsite.fincat import all_nat_transformations, check_nat, poset_category
-from finsite.limits import (PullbackSquare, _pullback_key, _pullback_square,
+from finsite.limits import (PullbackSquare, _meet_square, _pullback_square,
                             coequalizer, image_factorization_abstract,
                             image_factorization_pointwise, is_effective_epi,
                             is_extremal_epi_family, is_pullback, pullback,
@@ -20,7 +20,7 @@ from finsite.presheaf import enumerate_presheaves
 from helpers import (Cone, boolean_leq, cones, cospan_diagram, cospan_only_category,
                      discrete2_category, discrete_diagram, empty_diagram,
                      equalized_fork_category, factorizations, fork_category,
-                     grid_leq, involution_category, iso_pair_category,
+                     grid_leq, involution_category, iso_pair_category, kept_entries,
                      left_zero_monoid, limit, posets, product_category,
                      reversed_ids, slow_coequalizer, slow_is_effective_epi)
 
@@ -176,7 +176,8 @@ def _assert_table_squares_are_fresh_squares(cat, name=""):
         for f, g in order:
             assert pullback(table, f, g) == _pullback_square(cat, f, g), (name, f, g)
         keys = {(cat.dom[f], cat.dom[g]) if cat._thin else (f, g) for f, g in order}
-        assert set(table._pullback_table) == keys, name
+        kept = _meet_square if cat._thin else _pullback_square
+        assert set(kept_entries(table, kept)) == keys, name
 
 
 def test_pullback_table_gives_the_fresh_square_of_every_cospan():
@@ -196,7 +197,7 @@ def test_thin_table_is_keyed_by_leg_domains():
     cat = dataclasses.replace(CATALOGUE["bool_3"])
     for f, g in _cospans(cat):
         pullback(cat, f, g)
-    assert len(_cospans(cat)) == 125 and len(cat._pullback_table) == 64
+    assert len(_cospans(cat)) == 125 and len(kept_entries(cat, _meet_square)) == 64
     assert not CATALOGUE["fork"]._thin and CATALOGUE["iso_pair"]._thin
 
 
@@ -229,7 +230,9 @@ def test_effective_epis_and_images_unchanged_on_oracle_squares():
         oracle = dataclasses.replace(cat)
         for f in cat.morphisms:
             cone = limit(cat, cospan_diagram(cat, f, f))
-            oracle._pullback_table[_pullback_key(cat, f, f)] = None if cone is None else \
+            kept, key = (_meet_square, (cat.dom[f],) * 2) if cat._thin \
+                else (_pullback_square, (f, f))
+            kept_entries(oracle, kept)[key] = None if cone is None else \
                 PullbackSquare(cone.apex, cone.legs[0], cone.legs[1])
         for f in cat.morphisms:
             assert is_effective_epi(cat, f) == is_effective_epi(oracle, f), (name, f)

@@ -11,7 +11,7 @@ from finsite import fixtures
 from finsite.fincat import (FinCategory, FunctorData, identity_functor, poset_category,
                             validate_functor)
 from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
-                          SiteSpec, all_sieves, family_covers,
+                          Sieve, SiteSpec, all_sieves, family_covers,
                           generate_sieve_topology, generated_sieve, is_sieve,
                           is_site_morphism, maximal_sieve, pull_sieve,
                           pullback_closure, sieves_containing, site_topology,
@@ -19,10 +19,10 @@ from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
 
 from helpers import (boolean_leq, cospan_only_category, discrete2_category,
                      equalized_fork_category, fork_category, grid_leq,
-                     involution_category, iso_pair_category, left_zero_monoid,
-                     oracle_sites, poset_site, posets, random_covers_site,
-                     slow_is_site_morphism, slow_sieve_topology, slow_sieves,
-                     slow_tree_saturation)
+                     involution_category, iso_pair_category, kept_entries,
+                     left_zero_monoid, oracle_sites, poset_site, posets,
+                     random_covers_site, slow_is_site_morphism, slow_sieve_topology,
+                     slow_sieves, slow_tree_saturation)
 
 ALL_SITES = fixtures.all_sites()
 DIAMOND_SITE = ALL_SITES["diamond"]
@@ -180,7 +180,24 @@ def test_covering_sieves_are_searched_from_the_least_covering_sieve():
     with pytest.raises(ValueError, match="too many arrows"):
         all_sieves(site.cat, top)
     assert site_topology(site).covering_sieves(top) == [maximal_sieve(site.cat, top)]
-    assert set(site.cat._sieve_table) == {(top, sum(1 << f for f in site.cat.into(top)))}
+    assert set(kept_entries(site.cat, sieves_containing)) == {(maximal_sieve(site.cat, top),)}
+
+
+def test_kept_values_belong_to_one_owner_and_failures_keep_nothing():
+    """``fincat.kept`` keeps a value per owner object: an equal copy of a
+    category starts with an empty table and computes its own value.  A
+    call that raises keeps nothing, so the 22-chain guard raises again."""
+    n = MAX_ARROWS_FOR_SIEVES + 2
+    cat = poset_category([[i <= j for j in range(n)] for i in range(n)])
+    assert all_sieves(cat, 0) is all_sieves(cat, 0)
+    copy = dataclasses.replace(cat)
+    assert copy == cat and kept_entries(copy, sieves_containing) == {}
+    assert all_sieves(copy, 0) == all_sieves(cat, 0)
+    assert all_sieves(copy, 0) is not all_sieves(cat, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too many arrows"):
+            all_sieves(cat, n - 1)
+    assert set(kept_entries(cat, sieves_containing)) == {(Sieve(0, frozenset()),)}
 
 
 def test_sieves_containing_a_sieve_are_the_filtered_sieves():
@@ -203,7 +220,8 @@ def test_bool_4_builds_only_the_covering_sieves():
     site = poset_site(boolean_leq(4))
     topology = site_topology(site)
     listed = [topology.covering_sieves(y) for y in site.cat.objects]
-    assert sum(map(len, site.cat._sieve_table.values())) == sum(map(len, listed)) == 167
+    assert sum(map(len, kept_entries(site.cat, sieves_containing).values())) \
+        == sum(map(len, listed)) == 167
     assert sum(len(all_sieves(site.cat, y)) for y in site.cat.objects) == 298
 
 
