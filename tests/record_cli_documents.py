@@ -3,9 +3,9 @@
 The chase cases are ``separate --json`` for every pair of subobjects of the
 top of every fixture, at ``--width 0`` and ``--width 1``, and ``chase --json``
 from every object of every fixture.  The eventual cases are
-``delta-check --json`` and ``eta-check --json`` on two non-thin sites that
-are not fixtures, the involution at bounds 1-3 and the fork at bounds 1-2,
-and on two poset sites, chain_6 at bound 2 and bool_3 at bound 1.  The thin
+``delta-check --json`` and ``eta-check --json`` on three non-thin sites that
+are not fixtures, the involution, the fork and the equalized fork at bounds
+1-3, and on two poset sites, chain_6 at bound 2 and bool_3 at bound 1.  The thin
 cases are ``models --json`` on bool_4, pbool_4 and bool_5 at bound 1,
 pbool_3 and chain_6 at bound 2.  The topology cases are ``saturate --json``
 on every fixture, bool_3, grid_3x4 and pbool_3, and ``sheafify --json`` on
@@ -35,8 +35,8 @@ from pathlib import Path
 from finsite import fixtures, limits
 from finsite.fileformat import print_site
 
-from helpers import (fork_category, involution_category, poset_site,
-                     top_covered_site)
+from helpers import (equalized_fork_category, fork_category, involution_category,
+                     poset_site, top_covered_site)
 
 DOCUMENTS = Path(__file__).with_name("cli_documents.json")
 
@@ -68,11 +68,12 @@ def chase_cli_cases() -> list[tuple[str, ...]]:
 EVENTUAL_SITES = {
     "involution": (involution_category, "T"),
     "fork": (fork_category, "z"),
+    "equalized_fork": (equalized_fork_category, "z"),
 }
 
 # site name -> bounds of the delta-check and eta-check cases
-EVENTUAL_BOUNDS = {"involution": (1, 2, 3), "fork": (1, 2),
-                   "chain_6": (2,), "bool_3": (1,)}
+EVENTUAL_BOUNDS = {"involution": (1, 2, 3), "fork": (1, 2, 3),
+                   "equalized_fork": (1, 2, 3), "chain_6": (2,), "bool_3": (1,)}
 
 
 def eventual_cli_cases() -> list[tuple[str, ...]]:

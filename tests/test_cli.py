@@ -370,9 +370,9 @@ def test_chase_and_separate_json_match_the_recorded_documents(capsys):
 
 def test_delta_and_eta_json_match_the_recorded_documents(capsys, tmp_path):
     """``delta-check --json`` and ``eta-check --json`` on the non-thin
-    involution (bounds 1-3, bound 1 too small for a representable) and fork
-    (bounds 1-2) sites, and on the chain_6 (bound 2) and bool_3 (bound 1)
-    poset sites, print the bytes recorded in ``cli_documents.json``."""
+    involution (bounds 1-3, bound 1 too small for a representable), fork and
+    equalized fork (bounds 1-3) sites, and on the chain_6 (bound 2) and bool_3
+    (bound 1) poset sites, print the bytes recorded in ``cli_documents.json``."""
     recorded = json.loads(DOCUMENTS.read_text())
     paths = write_sites(tmp_path)
     for case in eventual_cli_cases():
