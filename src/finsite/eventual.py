@@ -1,54 +1,28 @@
-"""Desk-scale probes of the enlarged site: the category of bounded lex
-functors over one table of natural transformations, the limit-of-representables
-object of a model with its universal-property certificate, and the canonical
-colimit presentation of the evaluation functors."""
+"""Desk-scale probes of the enlarged site over one table of natural
+transformations: the category of bounded lex functors, limit-of-representables
+certificates, and evaluation functors as colimits of corepresentables, certified
+by co-Yoneda once every identity and every composite is listed in the table."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
-from .fincat import (FinCategory, NatTransData, SetValuedFunctor, UNDEFINED,
-                     all_nat_transformations, compose_nat, covariant_representable,
-                     identity_nat, kept, nat_via_limit)
-from .models import (ModelBound, UnionFind, elements_category,
-                     enumerate_lex_functors)
+from .fincat import (NatTransData, SetValuedFunctor, compose_nat, covariant_representable,
+                     identity_nat, kept, nat_from_families, nat_via_limit)
+from .models import ModelBound, elements_category, enumerate_lex_functors
 from .site import SiteSpec
 
 
 class NatTable:
     """Natural transformations between the functors of a list, per ordered
     pair (i, j) of positions, each query answered once, on first use.
-    ``hom(i, j)`` is Nat(F_i, F_j) in ``all_nat_transformations`` order and
-    the only enumeration of it; ``index``, ``composites`` and ``pairing``
-    are read off it and off ``limit``.  ``hom`` and ``limit`` solve the same
-    equations, so ``pairing`` checks the bookkeeping, not the search."""
+    ``limit(i, j)`` is the one solve of the pair and ``hom(i, j)`` its cut
+    into Nat(F_i, F_j); the rest is read off them, so ``pairing`` checks the
+    bookkeeping, not the search."""
 
     def __init__(self, functors):
         self.functors = tuple(functors)
-
-    @kept
-    def hom(self, i: int, j: int):
-        """Nat(F_i, F_j) as a tuple of ``NatTransData``."""
-        return tuple(all_nat_transformations(self.functors[i], self.functors[j]))
-
-    @kept
-    def index(self, i: int, j: int) -> dict:
-        """Components -> position in ``hom(i, j)``."""
-        return {alpha.components: a for a, alpha in enumerate(self.hom(i, j))}
-
-    @kept
-    def composites(self, i: int, j: int, k: int):
-        """Row a, column b: the position in ``hom(i, k)`` of hom(j, k)[b]
-        after hom(i, j)[a], or None when the composite is not listed."""
-        index = self.index(i, k)
-        objects = range(len(self.functors[i].sizes))
-        return tuple(
-            tuple(index.get(tuple(tuple(beta.components[x][v] for v in alpha.components[x])
-                                  for x in objects))
-                  for beta in self.hom(j, k))
-            for alpha in self.hom(i, j))
 
     @kept
     def limit(self, i: int, j: int) -> list[tuple[int, ...]]:
@@ -56,27 +30,47 @@ class NatTable:
         return nat_via_limit(self.functors[i], self.functors[j])
 
     @kept
+    def hom(self, i: int, j: int):
+        """Nat(F_i, F_j) as a tuple of ``NatTransData``, in ``limit`` order."""
+        return tuple(nat_from_families(self.functors[i], self.functors[j], self.limit(i, j)))
+
+    @kept
+    def index(self, i: int, j: int) -> dict:
+        """``family`` -> position in ``hom(i, j)``."""
+        return {alpha.family: a for a, alpha in enumerate(self.hom(i, j))}
+
+    def composites(self, i: int, j: int, k: int):
+        """Row a, column b: the position in ``hom(i, k)`` of hom(j, k)[b] after
+        hom(i, j)[a], or None when it is not listed; yielded row by row, never kept."""
+        index = self.index(i, k)
+        start = list(itertools.accumulate(self.functors[j].sizes, initial=0))
+        families = [beta.family for beta in self.hom(j, k)]
+        for alpha in self.hom(i, j):
+            image = [start[x] + q for x, column in enumerate(alpha.components) for q in column]
+            yield tuple(index.get(tuple(map(family.__getitem__, image))) for family in families)
+
+    @kept
+    def closed(self, i: int, j: int, k: int) -> bool:
+        """Every composite of hom(i, j) with hom(j, k) is listed in hom(i, k)."""
+        return all(None not in row for row in self.composites(i, j, k))
+
+    @kept
     def pairing(self, i: int, j: int):
         """The canonical map Nat(F_i, F_j) -> lim over ∫F_i of F_j,
         alpha |-> (alpha_x(p)), as positions in ``limit(i, j)``; None unless
         it is a bijection."""
         position = {fam: k for k, fam in enumerate(self.limit(i, j))}
-        elems = elements_category(self.functors[i])
-        images = [position.get(tuple(alpha.components[x][p] for x, p in elems))
-                  for alpha in self.hom(i, j)]
-        if None in images or not len(set(images)) == len(images) == len(position):
-            return None
-        return tuple(images)
+        images = tuple(position.get(alpha.family) for alpha in self.hom(i, j))
+        bijective = None not in images and len(set(images)) == len(images) == len(position)
+        return images if bijective else None
 
 
 @dataclass(frozen=True)
 class CTilde:
-    """Bounded lex functors as a finite category, arrows opposite to Nat.
-
-    The hom set from object i to object j is ``table.hom(j, i)``, composed
-    on demand by ``table.composites``.  ``phi_arrows[f]`` is the image of
-    the base morphism f as (i, j, position in ``table.hom(j, i)``).
-    """
+    """Bounded lex functors as a finite category, arrows opposite to Nat:
+    the hom set from object i to object j is ``table.hom(j, i)``, and
+    ``phi_arrows[f]`` is the image of the base morphism f as (i, j, position
+    in ``table.hom(j, i)``)."""
 
     table: NatTable
     phi_obj: tuple[int, ...]
@@ -85,32 +79,6 @@ class CTilde:
     @property
     def functors(self) -> tuple[SetValuedFunctor, ...]:
         return self.table.functors
-
-    @cached_property
-    def category(self) -> FinCategory:
-        """Every arrow numbered, hom set after hom set in (i, j) order, with
-        the whole composition table; for checking the category laws only."""
-        n, table = len(self.functors), self.table
-        first, arrows = {}, []
-        for i, j in itertools.product(range(n), repeat=2):
-            first[i, j] = len(arrows)
-            arrows += [(i, j)] * len(table.hom(j, i))
-        comp = [[UNDEFINED] * len(arrows) for _ in arrows]
-        for i, j, k in itertools.product(range(n), repeat=3):
-            # b: j -> k after a: i -> j is the transformation a after b
-            for b, row in enumerate(table.composites(k, j, i)):
-                for a, c in enumerate(row):
-                    comp[first[j, k] + b][first[i, j] + a] = first[i, k] + c
-        identity = tuple(first[i, i] + table.index(i, i)[identity_nat(fn).components]
-                         for i, fn in enumerate(self.functors))
-        return FinCategory(dom=tuple(i for i, _ in arrows), cod=tuple(j for _, j in arrows),
-                           identity=identity, comp=tuple(tuple(row) for row in comp))
-
-    @property
-    def phi_mor(self) -> tuple[int, ...]:
-        """``phi_arrows`` as arrow numbers of ``category``."""
-        arrows = list(zip(self.category.dom, self.category.cod))
-        return tuple(arrows.index((i, j)) + a for i, j, a in self.phi_arrows)
 
 
 class BoundTooSmallError(Exception):
@@ -127,17 +95,16 @@ def build_ctilde(site: SiteSpec, bound: ModelBound) -> CTilde:
     for x in cat.objects:
         rep = covariant_representable(cat, x)
         if rep not in table.functors:
-            raise BoundTooSmallError(
-                f"representable at {cat.obj_name(x)} escapes the bound")
+            raise BoundTooSmallError(f"representable at {cat.obj_name(x)} escapes the bound")
         phi_obj.append(table.functors.index(rep))
     phi_arrows = []
     for f in cat.morphisms:
         x, y = cat.dom[f], cat.cod[f]
         # phi(f): phi(x) -> phi(y) is precomposition C(y,-) => C(x,-)
-        components = tuple(tuple(cat.hom(x, z).index(cat.comp[g][f]) for g in cat.hom(y, z))
-                           for z in cat.objects)
+        family = tuple(cat.hom(x, z).index(cat.comp[g][f])
+                       for z in cat.objects for g in cat.hom(y, z))
         i, j = phi_obj[x], phi_obj[y]
-        phi_arrows.append((i, j, table.index(j, i)[components]))
+        phi_arrows.append((i, j, table.index(j, i)[family]))
     return CTilde(table, tuple(phi_obj), tuple(phi_arrows))
 
 
@@ -187,47 +154,22 @@ def delta_iso_check(table: NatTable, i: int, j: int) -> bool:
     that hom set pairs with its limit."""
     if table.pairing(i, j) is None:
         return False
-    for k in range(len(table.functors)):
-        # postcompose with F_j => F_k, precompose with F_k => F_i
-        for a, b, c in ((i, j, k), (k, i, j)):
-            if table.hom(a, b) and table.hom(b, c) and (
-                    table.pairing(a, c) is None
-                    or any(None in row for row in table.composites(a, b, c))):
-                return False
-    return True
+    # postcompose with F_j => F_k, precompose with F_k => F_i
+    return all(not (table.hom(a, b) and table.hom(b, c))
+               or table.pairing(a, c) is not None and table.closed(a, b, c)
+               for k in range(len(table.functors)) for a, b, c in ((i, j, k), (k, i, j)))
 
 
 def eta_component_check(site: SiteSpec,
                         functors: list[SetValuedFunctor]) -> dict[int, bool]:
     """Per base object v: the evaluation functor on the given models (all
     models at some bound) is the canonical colimit of corepresentables over
-    its category of elements, checked by a union-find colimit against every
-    model."""
+    its category of elements.  By co-Yoneda that colimit glues each point
+    (i, p, alpha: F_i => F_t) to (t, alpha_v(p), id), so it is F_t(v) at every
+    v when hom(t, t) lists the identity and ``closed(i, j, t)`` holds for all i, j."""
     table = NatTable(functors)
-    return {v: all(_ev_colimit_holds(table, v, t) for t in range(len(functors)))
-            for v in site.cat.objects}
-
-
-def _ev_colimit_holds(table: NatTable, v: int, t: int) -> bool:
-    """The triples (i, p, alpha) with p in F_i(v) and alpha: F_i => F_t,
-    glued along every beta: F_i => F_j, map by alpha_v(p) well defined and
-    bijectively onto F_t(v)."""
-    functors = table.functors
-    first, values = {}, []  # the triple (i, p, a) is numbered first[i, p] + a
-    for i, fn in enumerate(functors):
-        for p in fn.carrier(v):
-            first[i, p] = len(values)
-            values += [alpha.components[v][p] for alpha in table.hom(i, t)]
-    uf = UnionFind(range(len(values)))
-    for (i, p), here in first.items():
-        for j in range(len(functors)):
-            # alpha after beta, for beta: F_i => F_j, alpha: F_j => F_t
-            for beta, row in zip(table.hom(i, j), table.composites(i, j, t)):
-                there = first[j, beta.components[v][p]]
-                for a, c in enumerate(row):
-                    uf.union(there + a, here + c)
-    classes = {}
-    for number, value in enumerate(values):
-        classes.setdefault(uf.find(number), set()).add(value)
-    images = [vals.pop() if len(vals) == 1 else None for vals in classes.values()]
-    return None not in images and sorted(images) == list(functors[t].carrier(v))
+    positions = range(len(table.functors))
+    ok = all(identity_nat(fn).family in table.index(t, t)
+             and all(table.closed(i, j, t) for i in positions for j in positions)
+             for t, fn in enumerate(table.functors))
+    return {v: ok for v in site.cat.objects}

@@ -450,6 +450,11 @@ class NatTransData:
     target: SetValuedFunctor
     components: tuple[tuple[int, ...], ...]  # per object, element -> element
 
+    @property
+    def family(self) -> tuple[int, ...]:
+        """The components as one ``nat_via_limit`` family over ∫source."""
+        return tuple(itertools.chain.from_iterable(self.components))
+
 
 def check_nat(alpha: NatTransData) -> bool:
     """True iff every naturality square commutes (full scan)."""
@@ -514,13 +519,17 @@ def nat_via_limit(src: SetValuedFunctor, tgt: SetValuedFunctor) -> list[tuple[in
         [tgt.sizes[x] for x in src.cat.objects for _ in src.carrier(x)], equations)
 
 
-def all_nat_transformations(src: SetValuedFunctor, tgt: SetValuedFunctor):
-    """Every natural transformation src => tgt, lexicographic in its
-    components: the families of ``nat_via_limit`` cut per object."""
+def nat_from_families(src: SetValuedFunctor, tgt: SetValuedFunctor, families):
+    """The transformations src => tgt of ``nat_via_limit`` families, in order."""
     start = list(itertools.accumulate(src.sizes, initial=0))
-    for values in nat_via_limit(src, tgt):
+    for values in families:
         yield NatTransData(src, tgt, tuple(values[start[x]:start[x + 1]]
                                            for x in src.cat.objects))
+
+
+def all_nat_transformations(src: SetValuedFunctor, tgt: SetValuedFunctor):
+    """Every natural transformation src => tgt, lexicographic in its components."""
+    yield from nat_from_families(src, tgt, nat_via_limit(src, tgt))
 
 
 def identity_nat(fn: SetValuedFunctor) -> NatTransData:

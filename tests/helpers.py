@@ -19,12 +19,13 @@ from finsite import limits
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
                            WITNESS, Cotree, CotreeNode, SeparationResult,
                            branch_colimit, run_branch, unpairing)
+from finsite.eventual import CTilde, NatTable
 from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
                             FunctorData, NatTransData, SetValuedFunctor, check_nat,
-                            make_category, poset_category, validate_functor,
-                            validate_set_functor)
+                            identity_nat, kept, make_category, poset_category,
+                            validate_functor, validate_set_functor)
 from finsite.lattice import FinLattice, downset_lattice
-from finsite.models import elements_category
+from finsite.models import UnionFind, elements_category
 from finsite.presheaf import PlusData, _sorted_arrows
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
                           family_covers, generated_sieve, is_sieve, maximal_sieve,
@@ -346,6 +347,68 @@ def slow_nat_via_limit(m: SetValuedFunctor, n: SetValuedFunctor) -> list[tuple[i
         if ok:
             out.append(values)
     return out
+
+
+def ctilde_category(ct: CTilde) -> FinCategory:
+    """Every arrow of C-tilde numbered, hom set after hom set in (i, j)
+    order, with the whole composition table; for checking the category laws
+    only."""
+    n, table = len(ct.functors), ct.table
+    first, arrows = {}, []
+    for i, j in itertools.product(range(n), repeat=2):
+        first[i, j] = len(arrows)
+        arrows += [(i, j)] * len(table.hom(j, i))
+    comp = [[UNDEFINED] * len(arrows) for _ in arrows]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        # b: j -> k after a: i -> j is the transformation a after b
+        for b, row in enumerate(table.composites(k, j, i)):
+            for a, c in enumerate(row):
+                comp[first[j, k] + b][first[i, j] + a] = first[i, k] + c
+    identity = tuple(first[i, i] + table.index(i, i)[identity_nat(fn).family]
+                     for i, fn in enumerate(ct.functors))
+    return FinCategory(dom=tuple(i for i, _ in arrows), cod=tuple(j for _, j in arrows),
+                       identity=identity, comp=tuple(tuple(row) for row in comp))
+
+
+def ctilde_phi_mor(ct: CTilde) -> tuple[int, ...]:
+    """``ct.phi_arrows`` as arrow numbers of ``ctilde_category(ct)``."""
+    category = ctilde_category(ct)
+    arrows = list(zip(category.dom, category.cod))
+    return tuple(arrows.index((i, j)) + a for i, j, a in ct.phi_arrows)
+
+
+class KeptCompositesTable(NatTable):
+    """A Nat table that keeps every composite table it forms, because
+    ``slow_ev_colimit_holds`` rereads one per point."""
+
+    @kept
+    def composites(self, i: int, j: int, k: int):
+        return tuple(super().composites(i, j, k))
+
+
+def slow_ev_colimit_holds(table: NatTable, v: int, t: int) -> bool:
+    """The triples (i, p, alpha) with p in F_i(v) and alpha: F_i => F_t,
+    glued along every beta: F_i => F_j, map by alpha_v(p) well defined and
+    bijectively onto F_t(v): the colimit built by union-find."""
+    functors = table.functors
+    first, values = {}, []  # the triple (i, p, a) is numbered first[i, p] + a
+    for i, fn in enumerate(functors):
+        for p in fn.carrier(v):
+            first[i, p] = len(values)
+            values += [alpha.components[v][p] for alpha in table.hom(i, t)]
+    uf = UnionFind(range(len(values)))
+    for (i, p), here in first.items():
+        for j in range(len(functors)):
+            # alpha after beta, for beta: F_i => F_j, alpha: F_j => F_t
+            for beta, row in zip(table.hom(i, j), table.composites(i, j, t)):
+                there = first[j, beta.components[v][p]]
+                for a, c in enumerate(row):
+                    uf.union(there + a, here + c)
+    classes = {}
+    for number, value in enumerate(values):
+        classes.setdefault(uf.find(number), set()).add(value)
+    images = [vals.pop() if len(vals) == 1 else None for vals in classes.values()]
+    return None not in images and sorted(images) == list(functors[t].carrier(v))
 
 
 def slow_matching_families(p: SetValuedFunctor, sieve: Sieve):

@@ -1,21 +1,23 @@
 """The lex-functor category over its Nat table, delta certificates, ev colimits."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
 
-from finsite import eventual, fixtures
-from finsite.cli import HANDLERS, main
-from finsite.eventual import (BoundTooSmallError, CTilde, NatTable, build_ctilde,
-                              delta, delta_iso_check, eta_component_check)
-from finsite.fincat import (COVARIANT, SetValuedFunctor, all_nat_transformations,
-                            constant_singleton, covariant_representable,
-                            validate_category)
+from finsite import eventual, fincat, fixtures
+from finsite.cli import main
+from finsite.eventual import (BoundTooSmallError, NatTable, build_ctilde, delta,
+                              delta_iso_check, eta_component_check)
+from finsite.fincat import (COVARIANT, SetValuedFunctor, constant_singleton,
+                            covariant_representable, nat_via_limit, validate_category)
 from finsite.models import (ModelBound, enumerate_lex_functors, enumerate_models,
                             preserves_covers)
 
-from helpers import (fork_category, involution_category, slow_enumerate_functors,
+from helpers import (KeptCompositesTable, ctilde_category, ctilde_phi_mor,
+                     equalized_fork_category, fork_category, involution_category,
+                     iso_pair_category, slow_enumerate_functors, slow_ev_colimit_holds,
                      slow_is_lex, top_covered_site)
 from record_cli_documents import fixture_path, write_sites
 
@@ -28,7 +30,7 @@ POINT_SITE = ALL_SITES["point"]
 def test_point_ctilde_has_one_object():
     ct = build_ctilde(POINT_SITE, ModelBound(1))
     assert len(ct.functors) == 1
-    assert validate_category(ct.category) == []
+    assert validate_category(ctilde_category(ct)) == []
 
 
 def test_diamond_lex_functor_count_matches_slow_oracle():
@@ -42,7 +44,7 @@ def test_diamond_lex_functor_count_matches_slow_oracle():
 def test_diamond_ctilde_contains_all_representables():
     ct = build_ctilde(DIAMOND_SITE, ModelBound(1))
     assert len(ct.functors) == 4
-    assert validate_category(ct.category) == []
+    assert validate_category(ctilde_category(ct)) == []
     for x in DIAMOND.objects:
         rep = covariant_representable(DIAMOND, x)
         assert ct.functors[ct.phi_obj[x]] == rep
@@ -53,21 +55,22 @@ def test_phi_is_full_and_faithful_by_hom_counts():
         site = ALL_SITES[name]
         cat = site.cat
         ct = build_ctilde(site, ModelBound(1))
+        category = ctilde_category(ct)
         for x in cat.objects:
             for y in cat.objects:
                 base = len(cat.hom(x, y))
-                image = len(ct.category.hom(ct.phi_obj[x], ct.phi_obj[y]))
+                image = len(category.hom(ct.phi_obj[x], ct.phi_obj[y]))
                 assert base == image, (name, x, y)
 
 
 def test_phi_preserves_composition():
     ct = build_ctilde(DIAMOND_SITE, ModelBound(1))
+    category, phi_mor = ctilde_category(ct), ctilde_phi_mor(ct)
     for g in DIAMOND.morphisms:
         for f in DIAMOND.morphisms:
             if DIAMOND.cod[f] != DIAMOND.dom[g]:
                 continue
-            assert ct.category.comp[ct.phi_mor[g]][ct.phi_mor[f]] \
-                == ct.phi_mor[DIAMOND.comp[g][f]]
+            assert category.comp[phi_mor[g]][phi_mor[f]] == phi_mor[DIAMOND.comp[g][f]]
 
 
 def test_bound_too_small_is_reported():
@@ -142,6 +145,23 @@ def test_eta_component_check_all_fixtures():
 
 INVOLUTION_SITE = top_covered_site(involution_category(), "T")
 FORK_SITE = top_covered_site(fork_category(), "z")
+EQUALIZED_FORK_SITE = top_covered_site(equalized_fork_category(), "z")
+ISO_PAIR_SITE = top_covered_site(iso_pair_category(), "T")
+ETA_SITES = dict(ALL_SITES, fork=FORK_SITE, equalized_fork=EQUALIZED_FORK_SITE,
+                 involution=INVOLUTION_SITE, iso_pair=ISO_PAIR_SITE)
+
+
+@pytest.mark.parametrize("name, bound", [
+    *((name, bound) for name in ETA_SITES for bound in (1, 2, 3)), ("involution", 4)])
+def test_eta_certificate_is_the_union_find_colimit(name, bound):
+    """The closure certificate agrees at every object with the colimit
+    glued by union-find over every target."""
+    site = ETA_SITES[name]
+    models = [m.functor for m in enumerate_models(site, ModelBound(bound))]
+    table = KeptCompositesTable(models)
+    slow = {v: all(slow_ev_colimit_holds(table, v, t) for t in range(len(models)))
+            for v in site.cat.objects}
+    assert eta_component_check(site, models) == slow, (name, bound)
 
 
 class _Dropping(NatTable):
@@ -168,42 +188,45 @@ def test_a_dropped_transformation_fails_delta_and_delta_iso_check():
     assert f"universal property fails against object {i}" in delta(broken, point).failures
 
 
+def _drop_the_point(functors):
+    """The table of ``functors`` without the identity of the one-point
+    functor, the only transformation in its hom set."""
+    i = next(i for i, fn in enumerate(functors) if set(fn.sizes) == {1})
+    return _Dropping(functors, (i, i))
+
+
+def test_a_dropped_transformation_fails_eta_component_check(monkeypatch, tmp_path,
+                                                           capsys):
+    models = [m.functor for m in enumerate_models(INVOLUTION_SITE, ModelBound(2))]
+    assert eta_component_check(INVOLUTION_SITE, models) == {0: True, 1: True}
+    monkeypatch.setattr(eventual, "NatTable", _drop_the_point)
+    assert eta_component_check(INVOLUTION_SITE, models) == {0: False, 1: False}
+    path = write_sites(tmp_path)["involution.site"]
+    capsys.readouterr()
+    assert main(["eta-check", path, "--bound", "2", "--json"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["all_pass"] is False
+    assert result["ev_colimit_per_object"] == {"x": False, "T": False}
+
+
 @pytest.mark.parametrize("argv", [
     ["delta-check", "--bound", "3"], ["eta-check", "--bound", "3"]])
 def test_one_run_enumerates_each_hom_set_at_most_once(monkeypatch, tmp_path,
                                                      capsys, argv):
+    """Every solve of lim over ∫F_i of F_j, under either name, is counted:
+    one run solves each ordered pair of functors at most once."""
     calls = Counter()
 
     def counted(src, tgt):
         calls[src, tgt] += 1
-        return all_nat_transformations(src, tgt)
-    monkeypatch.setattr(eventual, "all_nat_transformations", counted)
+        return nat_via_limit(src, tgt)
+    monkeypatch.setattr(fincat, "nat_via_limit", counted)
+    monkeypatch.setattr(eventual, "nat_via_limit", counted)
     paths = write_sites(tmp_path)
     for path in [paths["involution.site"], paths["fork.site"], fixture_path("wide5.site")]:
         calls.clear()
         assert main([argv[0], path, *argv[1:]]) == 0
         assert calls and max(calls.values()) == 1, path
-    capsys.readouterr()
-
-
-def test_no_cli_command_reads_the_dense_category(monkeypatch, tmp_path, capsys):
-    def refuse(self):
-        raise AssertionError("CTilde.category was read")
-    monkeypatch.setattr(CTilde, "category", property(refuse))
-    site = fixture_path("diamond.site")
-    involution = write_sites(tmp_path)["involution.site"]
-    runs = [["check", site], ["saturate", site], ["models", site],
-            ["chase", site, "--root", "1"],
-            ["separate", site, "--object", "1", "--u", "a", "--v", "b"],
-            ["sheafify", site, "--object", "1"],
-            ["factor", site, "--source", "a", "--target", "1"],
-            ["lattice-embed", fixture_path("diamond.lat")],
-            ["delta-check", site], ["eta-check", site],
-            ["delta-check", involution, "--bound", "2"],
-            ["eta-check", involution, "--bound", "2"]]
-    assert {argv[0] for argv in runs} == set(HANDLERS)
-    for argv in runs:
-        assert main(argv) in (0, 1), argv
     capsys.readouterr()
 
 
