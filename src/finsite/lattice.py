@@ -136,30 +136,6 @@ def is_distributive(lat: FinLattice) -> bool:
     return True
 
 
-def complements(lat: FinLattice):
-    """Complement table, or None where no (unique) complement exists."""
-    out = []
-    for a in lat.elements:
-        cands = [b for b in lat.elements
-                 if lat.meet[a][b] == lat.bottom and lat.join[a][b] == lat.top]
-        out.append(cands[0] if len(cands) == 1 else None)
-    return tuple(out)
-
-
-def is_2_distributive_identity(lat: FinLattice, pairs) -> bool:
-    """The Boolean identity  ⋂_i (b_i0 ∨ b_i1) = ⋃_{h: I -> 2} ⋂_i b_ih(i),
-    checked by computing both sides outright."""
-    comp = complements(lat)
-    if any(c is None for c in comp):
-        raise ValueError("the identity needs a Boolean lattice with complements")
-    pairs = list(pairs)
-    lhs = lat.meet_of(lat.join[b0][b1] for b0, b1 in pairs)
-    rhs = lat.join_of(
-        lat.meet_of(pair[h] for pair, h in zip(pairs, choice))
-        for choice in itertools.product((0, 1), repeat=len(pairs)))
-    return lhs == rhs
-
-
 def join_irreducibles(lat: FinLattice) -> list[int]:
     """Non-bottom elements that are not proper joins."""
     out = []
@@ -323,65 +299,63 @@ def _canonical_form(lat: FinLattice):
     return tuple(best)
 
 
-def _natural_posets(n_points: int):
-    """Every transitive relation within the order 0 < 1 < ... as (relation,
-    predecessor masks), in ``itertools.product`` order over the pairs
-    (i, j), i < j, with the first pair most significant.
+def _posets_within(n_points: int, max_size: int):
+    """Every naturally labelled poset on n_points points with at most
+    max_size downsets, as (predecessor masks, downsets as bitmasks).
 
-    A pair (i, j) is decided after every pair into i and every (h, j) with
-    h < i, so adding it keeps the relation transitive exactly when the
-    predecessors of i already precede j; other prefixes are never extended.
+    Column j picks the strict predecessors of point j: any downset of the
+    finished prefix {0..j-1}, that is, any mask on the prefix's downset list.
+    The list then gains d | 1 << j for each downset d holding that mask.  The
+    prefix is a downset of the final poset and every later point adds at
+    least one downset, so a prefix that leaves no room for them is cut.
     """
-    pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
-    below = [0] * n_points
-    relation = []
+    below = []
 
-    def extend(t):
-        if t == len(pairs):
-            yield list(relation), list(below)
+    def extend(j, downsets):
+        if len(downsets) + n_points - j > max_size:
             return
-        yield from extend(t + 1)
-        i, j = pairs[t]
-        if below[i] & ~below[j] == 0:
-            below[j] |= 1 << i
-            relation.append((i, j))
-            yield from extend(t + 1)
-            relation.pop()
-            below[j] &= ~(1 << i)
+        if j == n_points:
+            yield tuple(below), downsets
+            return
+        for mask in downsets:
+            below.append(mask)
+            yield from extend(j + 1, downsets + [
+                d | 1 << j for d in downsets if mask & ~d == 0])
+            below.pop()
 
-    return extend(0)
+    return extend(0, [0])
 
 
-def _downset_count(below, limit: int) -> int:
-    """Downsets of a naturally labelled poset given as predecessor masks
-    (bit j of below[i] when j < i), counted up to limit + 1: point i joins
-    every downset of points < i that holds its predecessors."""
-    downsets = [0]
-    for i, mask in enumerate(below):
-        downsets += [d | 1 << i for d in downsets if mask & ~d == 0]
-        if len(downsets) > limit:
-            return limit + 1
-    return len(downsets)
+def _lattice_of(downsets) -> FinLattice:
+    """The lattice of downsets given as bitmasks, ordered as in
+    ``downset_lattice``: by size, then by members ascending."""
+    downsets = sorted(downsets, key=lambda d: (
+        d.bit_count(), [i for i in range(d.bit_length()) if d >> i & 1]))
+    return FinLattice(tuple(tuple(a & ~b == 0 for b in downsets)
+                            for a in downsets))
 
 
 def distributive_catalogue(max_size: int = 6) -> list[FinLattice]:
     """Every distributive lattice with at most max_size elements, one per
-    isomorphism class, via Birkhoff duality: downset lattices of all posets
-    on at most max_size - 1 points (relations within a linear extension).
+    isomorphism class, via Birkhoff duality: downset lattices of the posets
+    on at most max_size - 1 points, labelled within a linear extension.
 
-    Downsets are counted on bitmasks first, so only posets with at most
-    max_size downsets reach ``downset_lattice`` and the canonical form, in
-    enumeration order, and the first of each class is kept."""
+    ``_posets_within`` decides the posets column by column and cuts a prefix
+    once its downset count plus one per point still to come passes max_size,
+    so each lattice is read off the downset bitmasks of a poset that fits.
+    Each class keeps the poset whose bit vector over the pairs (0, 1),
+    (0, 2), ..., (1, 2), ... (bit set when i precedes j) is least: the first
+    in ``itertools.product`` order, whatever order the posets come in."""
     seen = {}
     for n_points in range(max_size):
-        for relation, below in _natural_posets(n_points):
-            if _downset_count(below, max_size) > max_size:
-                continue
-            lat = downset_lattice(n_points, relation)
+        pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
+        for below, downsets in _posets_within(n_points, max_size):
+            lat = _lattice_of(downsets)
             key = (lat.n, _canonical_form(lat))
-            if key not in seen:
-                seen[key] = lat
-    return [seen[key] for key in sorted(seen)]
+            bits = tuple(below[j] >> i & 1 for i, j in pairs)
+            if key not in seen or bits < seen[key][0]:
+                seen[key] = bits, lat
+    return [seen[key][1] for key in sorted(seen)]
 
 
 def m3() -> FinLattice:

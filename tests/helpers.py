@@ -24,7 +24,7 @@ from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
                             FunctorData, NatTransData, SetValuedFunctor, check_nat,
                             identity_nat, kept, make_category, poset_category,
                             validate_functor, validate_set_functor)
-from finsite.lattice import FinLattice, downset_lattice
+from finsite.lattice import FinLattice, _canonical_form, downset_lattice
 from finsite.models import UnionFind, elements_category
 from finsite.presheaf import PlusData, _sorted_arrows
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
@@ -706,6 +706,91 @@ def slow_distributive_catalogue(max_size: int = 6) -> list[FinLattice]:
             if lat.n > max_size:
                 continue
             key = (lat.n, slow_canonical_form(lat))
+            if key not in seen:
+                seen[key] = lat
+    return [seen[key] for key in sorted(seen)]
+
+
+def complements(lat: FinLattice):
+    """Complement table, or None where no (unique) complement exists."""
+    out = []
+    for a in lat.elements:
+        cands = [b for b in lat.elements
+                 if lat.meet[a][b] == lat.bottom and lat.join[a][b] == lat.top]
+        out.append(cands[0] if len(cands) == 1 else None)
+    return tuple(out)
+
+
+def is_2_distributive_identity(lat: FinLattice, pairs) -> bool:
+    """The Boolean identity  ⋂_i (b_i0 ∨ b_i1) = ⋃_{h: I -> 2} ⋂_i b_ih(i),
+    checked by computing both sides outright."""
+    comp = complements(lat)
+    if any(c is None for c in comp):
+        raise ValueError("the identity needs a Boolean lattice with complements")
+    pairs = list(pairs)
+    lhs = lat.meet_of(lat.join[b0][b1] for b0, b1 in pairs)
+    rhs = lat.join_of(
+        lat.meet_of(pair[h] for pair, h in zip(pairs, choice))
+        for choice in itertools.product((0, 1), repeat=len(pairs)))
+    return lhs == rhs
+
+
+def natural_posets(n_points: int):
+    """Every transitive relation within the order 0 < 1 < ... as (relation,
+    predecessor masks), in ``itertools.product`` order over the pairs
+    (i, j), i < j, with the first pair most significant.
+
+    A pair (i, j) is decided after every pair into i and every (h, j) with
+    h < i, so adding it keeps the relation transitive exactly when the
+    predecessors of i already precede j; other prefixes are never extended.
+    """
+    pairs = [(i, j) for i in range(n_points) for j in range(i + 1, n_points)]
+    below = [0] * n_points
+    relation = []
+
+    def extend(t):
+        if t == len(pairs):
+            yield list(relation), list(below)
+            return
+        yield from extend(t + 1)
+        i, j = pairs[t]
+        if below[i] & ~below[j] == 0:
+            below[j] |= 1 << i
+            relation.append((i, j))
+            yield from extend(t + 1)
+            relation.pop()
+            below[j] &= ~(1 << i)
+
+    return extend(0)
+
+
+def downset_count(below, limit: int) -> int:
+    """Downsets of a naturally labelled poset given as predecessor masks
+    (bit j of below[i] when j < i), counted up to limit + 1: point i joins
+    every downset of points < i that holds its predecessors."""
+    downsets = [0]
+    for i, mask in enumerate(below):
+        downsets += [d | 1 << i for d in downsets if mask & ~d == 0]
+        if len(downsets) > limit:
+            return limit + 1
+    return len(downsets)
+
+
+def leafwise_distributive_catalogue(max_size: int = 6) -> list[FinLattice]:
+    """Every distributive lattice with at most max_size elements, one per
+    isomorphism class, via Birkhoff duality: downset lattices of all posets
+    on at most max_size - 1 points (relations within a linear extension).
+
+    Downsets are counted on bitmasks first, so only posets with at most
+    max_size downsets reach ``downset_lattice`` and the canonical form, in
+    enumeration order, and the first of each class is kept."""
+    seen = {}
+    for n_points in range(max_size):
+        for relation, below in natural_posets(n_points):
+            if downset_count(below, max_size) > max_size:
+                continue
+            lat = downset_lattice(n_points, relation)
+            key = (lat.n, _canonical_form(lat))
             if key not in seen:
                 seen[key] = lat
     return [seen[key] for key in sorted(seen)]

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 
 from finsite.lattice import (FinLattice, InconclusiveError,
                              NonDistributiveError, _canonical_form,
-                             birkhoff_embed, complements,
+                             _lattice_of, _posets_within, birkhoff_embed,
                              distributive_catalogue, downset_lattice,
-                             has_forbidden_sublattice, is_2_distributive_identity,
-                             is_distributive, join_irreducibles, lattice_site,
-                             m3, model_embed, n5, validate_lattice)
+                             has_forbidden_sublattice, is_distributive,
+                             join_irreducibles, lattice_site, m3, model_embed,
+                             n5, validate_lattice)
 from finsite.site import validate_site
 
-from helpers import posets, slow_canonical_form, slow_distributive_catalogue
+from helpers import (complements, downset_count, is_2_distributive_identity,
+                     leafwise_distributive_catalogue, natural_posets, posets,
+                     slow_canonical_form, slow_distributive_catalogue)
 
 
 def chain(n):
@@ -186,6 +188,50 @@ def test_canonical_form_matches_brute_force_on_posets(leq):
 def test_catalogue_matches_brute_force_in_order(max_size):
     assert [lat.leq for lat in distributive_catalogue(max_size)] \
         == [lat.leq for lat in slow_distributive_catalogue(max_size)]
+
+
+@pytest.mark.parametrize("max_size", range(1, 9))
+def test_catalogue_matches_leafwise_oracle_in_order(max_size):
+    assert [lat.leq for lat in distributive_catalogue(max_size)] \
+        == [lat.leq for lat in leafwise_distributive_catalogue(max_size)]
+
+
+def test_column_cut_keeps_exactly_the_posets_that_fit():
+    for n_points in range(7):
+        oracle = [tuple(below) for _, below in natural_posets(n_points)]
+        for max_size in range(9):
+            fits = {below for below in oracle
+                    if downset_count(below, max_size) <= max_size}
+            leaves = list(_posets_within(n_points, max_size))
+            assert len(leaves) == len(fits)
+            assert {below for below, _ in leaves} == fits
+            for below, downsets in leaves:
+                assert len(downsets) == downset_count(below, max_size)
+
+
+def test_catalogue_sizes_follow_a006982_up_to_twelve():
+    sizes = [lat.n for lat in distributive_catalogue(12)]
+    assert {n: sizes.count(n) for n in set(sizes)} == {
+        1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 8, 8: 15, 9: 26, 10: 47,
+        11: 82, 12: 151}
+
+
+def test_lattice_from_masks_is_the_downset_lattice_of_its_poset():
+    max_size = 9
+    least = {}
+    for n_points in range(max_size):
+        pairs = [(i, j) for i in range(n_points)
+                 for j in range(i + 1, n_points)]
+        for below, downsets in _posets_within(n_points, max_size):
+            relation = [(i, j) for i, j in pairs if below[j] >> i & 1]
+            lat = downset_lattice(n_points, relation)
+            assert _lattice_of(downsets) == lat
+            key = (lat.n, _canonical_form(lat))
+            bits = [(i, j) in relation for i, j in pairs]
+            if key not in least or bits < least[key][0]:
+                least[key] = bits, lat
+    assert distributive_catalogue(max_size) \
+        == [least[key][1] for key in sorted(least)]
 
 
 def test_both_routes_verify_on_the_whole_catalogue():
