@@ -51,11 +51,11 @@ class Task:
 
 @dataclass(frozen=True)
 class ChaseBranch:
+    """A branch is its chain: column n is ``_task_list(site, chain[n][0])``
+    and the root is ``chain[0][0]``."""
     site: SiteSpec
-    root: int
     chain: tuple[tuple[int, int], ...]    # (object, connecting mor into previous)
     choices: tuple[tuple[int, int], ...]  # per solved step: (task index, leg index)
-    columns: tuple[tuple[Task, ...], ...]  # column n: the task list of u_n
     status: str
 
     @property
@@ -156,22 +156,22 @@ def run_branch(site: SiteSpec, root: int, strategy=FIRST_LEG,
                budget: int = 64) -> ChaseBranch:
     """Run one branch for at most ``budget`` solving steps.
 
-    Step n fills column n with T_{u_n} and solves task unpairing(n); the task
-    index addresses its column cyclically, realizing the construction's
+    Step n solves task (alpha, beta) = unpairing(n) from column beta, the
+    task list T_{u_beta} of the object at stage beta; the task index
+    addresses its column cyclically, realizing the construction's
     padding of task lists by repetition.  An explicit choice sequence defers
     the stabilization certificate until its choices are spent, so prescribed
     leg choices can still walk a stable object into a refinement.
     """
     explicit = None if strategy == FIRST_LEG else tuple(strategy)
-    return _continue_branch(site, root, [(root, site.cat.identity[root])], [], [],
+    return _continue_branch(site, [(root, site.cat.identity[root])], [],
                             explicit, budget)
 
 
-def _continue_branch(site: SiteSpec, root: int, chain: list, columns: list,
-                     choices: list, explicit, budget: int) -> ChaseBranch:
-    """Run a branch on from the state after step n = len(choices): chain
-    holds n + 1 objects and columns n columns.  The lists are extended in
-    place."""
+def _continue_branch(site: SiteSpec, chain: list, choices: list, explicit,
+                     budget: int) -> ChaseBranch:
+    """Run a branch on from the state after step n = len(choices), when
+    chain holds n + 1 objects.  The lists are extended in place."""
     cat = site.cat
     dead = _dead_objects(site)
     stable = _stabilized_objects(site)
@@ -186,9 +186,8 @@ def _continue_branch(site: SiteSpec, root: int, chain: list, columns: list,
                 and cat.is_identity(chain[-1][1]) and u in stable:
             status = STABILIZED
             break
-        columns.append(_task_list(site, u))
         alpha, beta = unpairing(n)
-        column = columns[beta]
+        column = _task_list(site, chain[beta][0])
         if not column:
             raise ValueError("empty task list; the site is missing id: 1 -> 1")
         task = column[alpha % len(column)]
@@ -196,8 +195,7 @@ def _continue_branch(site: SiteSpec, root: int, chain: list, columns: list,
         obj, connect = solve_task(site, chain, beta, task, leg_index)
         chain.append((obj, connect))
         choices.append((alpha % len(column), leg_index))
-    return ChaseBranch(site, root, tuple(chain), tuple(choices),
-                       tuple(columns), status)
+    return ChaseBranch(site, tuple(chain), tuple(choices), status)
 
 
 def branch_colimit(branch: ChaseBranch) -> Model:
@@ -225,32 +223,24 @@ def _colimit(site: SiteSpec, stable: int | None) -> Model:
 
 
 @dataclass(frozen=True)
-class CotreeNode:
-    branch: ChaseBranch
-    children: tuple[tuple[int, "CotreeNode"], ...]  # (leg index, subtree)
-
-
-@dataclass(frozen=True)
 class Cotree:
-    root: CotreeNode
-    leaves: tuple[ChaseBranch, ...]
+    leaves: tuple[ChaseBranch, ...]  # in depth-first order, leg 0 first
     all_terminated: bool
-    has_live_branch: bool
     pruned: bool  # a width limit actually cut leg options somewhere
 
 
 def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
                    width: int | None = None) -> Cotree:
     """Expand the leg options of every scheduled task, depth-limited by the
-    budget and breadth-limited by the width (all legs when width is None).
+    budget and breadth-limited by the width (all legs when width is None),
+    and keep the leaves.
 
     A node is a branch prefix; it becomes a leaf once the branch run under
-    that prefix terminates without consuming more choices.
-
-    A child shares its parent's first d steps, d the parent's depth, and the
-    parent took leg 0 at step d, so child 0 is the parent's branch itself
-    and child k >= 1 runs on from the parent's state before step d.  The
-    cotree is kept on the site, one per (root, budget, width).
+    that prefix terminates without consuming more choices.  Child 0 of a
+    node at depth d is the node's branch itself, which took leg 0 at step
+    d; child k >= 1 runs on from that branch's chain and choices before
+    step d.  So the leaves are every branch the tree holds.  The cotree is
+    kept on the site, one per (root, budget, width).
     """
     return _cotree(site, root, budget, width)
 
@@ -265,27 +255,49 @@ def _cotree(site: SiteSpec, root: int, budget: int, width: int | None) -> Cotree
         depth = len(prefix)
         if len(branch.choices) <= depth:
             leaves.append(branch)
-            return CotreeNode(branch, ())
-        alpha, beta = unpairing(depth)
-        column = branch.columns[beta]
-        n_legs = len(column[alpha % len(column)].family.legs)
+            return
+        _, beta = unpairing(depth)
+        task = _task_list(site, branch.chain[beta][0])[branch.choices[depth][0]]
+        n_legs = len(task.family.legs)
         take = n_legs if width is None else min(width, n_legs)
         if take < n_legs:
             pruned = True
-        children = [(0, expand(prefix + (0,), branch))]
+        expand(prefix + (0,), branch)
         for leg in range(1, take):
             child_prefix = prefix + (leg,)
-            child = _continue_branch(site, root, list(branch.chain[:depth + 1]),
-                                     list(branch.columns[:depth]),
-                                     list(branch.choices[:depth]),
-                                     child_prefix, budget)
-            children.append((leg, expand(child_prefix, child)))
-        return CotreeNode(branch, tuple(children))
+            child = _continue_branch(site, list(branch.chain[:depth + 1]),
+                                     list(branch.choices[:depth]), child_prefix, budget)
+            expand(child_prefix, child)
 
-    root_node = expand((), run_branch(site, root, strategy=(), budget=budget))
+    expand((), run_branch(site, root, strategy=(), budget=budget))
     terminated = all(leaf.status != BUDGET_EXCEEDED for leaf in leaves)
-    live = any(leaf.status == STABILIZED for leaf in leaves)
-    return Cotree(root_node, tuple(leaves), terminated, live, pruned)
+    return Cotree(tuple(leaves), terminated, pruned)
+
+
+def _escaping_leaf(site: SiteSpec, leaves: tuple[ChaseBranch, ...], point: int,
+                   legs: tuple[int, ...]) -> tuple[ChaseBranch | None, Model | None]:
+    """The first leaf whose colimit M keeps the class of ``point`` outside
+    the image of every leg, with M re-checked to be a model, or (None,
+    None).  A STABILIZED leaf escapes when ``point ∘ composite_to(0)``
+    factors through no leg.  A DEAD leaf's M is terminal: it escapes only
+    an empty family, and is a model only when the site has no empty cover."""
+    cat = site.cat
+    for leaf in leaves:
+        if leaf.status == STABILIZED:
+            pushed = cat.comp[point][leaf.composite_to(0)]
+            for leg in legs:
+                if cat.factors_through(pushed, leg) is not None:
+                    break
+            else:  # through no leg; a plain loop, as any() over a genexpr costs more
+                break
+        elif leaf.status == DEAD and not legs and all(f.legs for f in site.covers):
+            break
+    else:
+        return None, None
+    model = branch_colimit(leaf)
+    if not (model.is_lex and model.preserves_covers):
+        raise AssertionError("the escaping colimit is not a model")
+    return leaf, model
 
 
 CONTAINED = "CONTAINED"
@@ -312,19 +324,9 @@ def separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
     if cat.factors_through(u, v) is not None:
         return SeparationResult(CONTAINED)
     tree = explore_cotree(site, root=cat.dom[u], budget=budget, width=width)
-    explored = len(tree.leaves)
-    for branch in tree.leaves:
-        if branch.status != STABILIZED:
-            continue
-        model = branch_colimit(branch)
-        w = branch.current
-        connect = branch.composite_to(0)   # w -> dom(u)
-        point = cat.comp[u][connect]       # [1_u] pushed into M(x)
-        if not any(cat.comp[v][d] == point for d in cat.hom(w, cat.dom[v])):
-            if not (model.is_lex and model.preserves_covers):
-                raise AssertionError("the separating colimit is not a model")
-            return SeparationResult(WITNESS, model, branch, explored)
-    return SeparationResult(INCONCLUSIVE, leaves=explored)
+    leaf, model = _escaping_leaf(site, tree.leaves, u, (v,))
+    return SeparationResult(INCONCLUSIVE if leaf is None else WITNESS, model, leaf,
+                            len(tree.leaves))
 
 
 @dataclass(frozen=True)
@@ -335,25 +337,17 @@ class CoverCheckResult:
 
 def family_jointly_covers(site: SiteSpec, fam: Family, budget: int = 64,
                           width: int | None = None) -> CoverCheckResult:
-    """Chase-based cover detection: the family covers iff the generic point
-    of every terminating branch colimit is hit by the family's image."""
+    """Chase-based cover detection: the family covers iff, in every branch
+    colimit that is a model, the family's image holds the generic point,
+    the class of 1_x; the scan is separation's, at 1_x against every leg."""
     cat = site.cat
     x = fam.codomain
     if any(cat.cod[f] != x for f in fam.legs):
         raise ValueError("family has mixed codomains")
     tree = explore_cotree(site, root=x, budget=budget, width=width)
-    for branch in tree.leaves:
-        if branch.status != STABILIZED:
-            continue
-        w = branch.current
-        generic = branch.composite_to(0)   # class of 1_x in M(x)
-        hit = any(cat.comp[leg][d] == generic
-                  for leg in fam.legs for d in cat.hom(w, cat.dom[leg]))
-        if not hit:
-            model = branch_colimit(branch)
-            if not (model.is_lex and model.preserves_covers):
-                raise AssertionError("the refuting colimit is not a model")
-            return CoverCheckResult(False, model)
+    leaf, model = _escaping_leaf(site, tree.leaves, cat.identity[x], fam.legs)
+    if leaf is not None:
+        return CoverCheckResult(False, model)
     if not tree.all_terminated or tree.pruned:
         return CoverCheckResult(None)  # an unexplored branch could refute
     return CoverCheckResult(True)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from finsite import limits
 from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
-                           WITNESS, Cotree, CotreeNode, SeparationResult,
+                           WITNESS, Cotree, SeparationResult, _task_list,
                            branch_colimit, run_branch, unpairing)
 from finsite.eventual import CTilde, NatTable
 from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
@@ -813,20 +813,19 @@ def slow_explore_cotree(site: SiteSpec, root: int, budget: int = 64,
         depth = len(prefix)
         if len(branch.choices) <= depth:
             leaves.append(branch)
-            return CotreeNode(branch, ())
+            return
         alpha, beta = unpairing(depth)
-        column = branch.columns[beta]
+        column = _task_list(site, branch.chain[beta][0])
         n_legs = len(column[alpha % len(column)].family.legs)
         take = n_legs if width is None else min(width, n_legs)
         if take < n_legs:
             pruned[0] = True
-        children = tuple((leg, expand(prefix + [leg])) for leg in range(take))
-        return CotreeNode(branch, children)
+        for leg in range(take):
+            expand(prefix + [leg])
 
-    root_node = expand([])
+    expand([])
     terminated = all(leaf.status != BUDGET_EXCEEDED for leaf in leaves)
-    live = any(leaf.status == STABILIZED for leaf in leaves)
-    return Cotree(root_node, tuple(leaves), terminated, live, pruned[0])
+    return Cotree(tuple(leaves), terminated, pruned[0])
 
 
 def slow_separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
