@@ -296,6 +296,8 @@ def _escaping_leaf(site: SiteSpec, leaves: tuple[ChaseBranch, ...], point: int,
         return None, None
     model = branch_colimit(leaf)
     if not (model.is_lex and model.preserves_covers):
+        if limits.terminal_object(cat) is None:  # then no colimit is lex
+            raise ValueError("the site has no terminal object, so no colimit is a model")
         raise AssertionError("the escaping colimit is not a model")
     return leaf, model
 

@@ -74,7 +74,7 @@ def _require_site(parsed) -> SiteSpec:
     return parsed
 
 
-def cmd_check(args, text, parsed):
+def cmd_check(args, parsed):
     """``parsed`` is the document, or the ``ValidationError`` it raised."""
     violations = parsed.violations if isinstance(parsed, ValidationError) else []
     result = {"valid": not violations, "violations": violations}
@@ -82,7 +82,7 @@ def cmd_check(args, text, parsed):
     return code, result, list(violations), {}
 
 
-def cmd_saturate(args, text, parsed):
+def cmd_saturate(args, parsed):
     spec = _require_site(parsed)
     cat = spec.cat
     saturation = site_mod.tree_saturation(spec)
@@ -99,7 +99,7 @@ def cmd_saturate(args, text, parsed):
                                  "pastings": saturation.pastings}
 
 
-def cmd_models(args, text, parsed):
+def cmd_models(args, parsed):
     spec = _require_site(parsed)
     found = models.enumerate_models(spec, ModelBound(args.bound))
     result = {"bound": args.bound, "count": len(found),
@@ -107,7 +107,7 @@ def cmd_models(args, text, parsed):
     return EXIT_OK, result, [], {"models": len(found)}
 
 
-def cmd_chase(args, text, parsed):
+def cmd_chase(args, parsed):
     spec = _require_site(parsed)
     cat = spec.cat
     root = _resolve_object(cat, args.root)
@@ -133,7 +133,7 @@ def cmd_chase(args, text, parsed):
     return code, result, witnesses, {"steps": len(branch.choices)}
 
 
-def cmd_separate(args, text, parsed):
+def cmd_separate(args, parsed):
     spec = _require_site(parsed)
     cat = spec.cat
     x = _resolve_object(cat, args.object)
@@ -155,7 +155,7 @@ def cmd_separate(args, text, parsed):
     return code, result, witnesses, {"leaves": outcome.leaves}
 
 
-def cmd_sheafify(args, text, parsed):
+def cmd_sheafify(args, parsed):
     spec = _require_site(parsed)
     cat = spec.cat
     x = _resolve_object(cat, args.object)
@@ -170,7 +170,7 @@ def cmd_sheafify(args, text, parsed):
     return EXIT_OK, result, [], {"certified_sieves": sheafified.sheaf.certified_sieves}
 
 
-def cmd_factor(args, text, parsed):
+def cmd_factor(args, parsed):
     spec = _require_site(parsed)
     cat = spec.cat
     x = _resolve_object(cat, args.source)
@@ -191,7 +191,7 @@ def cmd_factor(args, text, parsed):
     return EXIT_OK, result, [], {"transformations": len(entries)}
 
 
-def cmd_lattice_embed(args, text, parsed):
+def cmd_lattice_embed(args, parsed):
     if isinstance(parsed, SiteSpec):
         raise ValueError("lattice-embed needs a lattice file")
     lat, prescribed = parsed
@@ -216,20 +216,15 @@ def cmd_lattice_embed(args, text, parsed):
         witnesses.append({"reason": "NON_DISTRIBUTIVE",
                           "forbidden_sublattice": lattice.has_forbidden_sublattice(lat)})
         return EXIT_REFUTED, {"verdict": "NON_DISTRIBUTIVE"}, witnesses, {}
-    except lattice.InconclusiveError as exc:
-        return EXIT_INCONCLUSIVE, {"verdict": "INCONCLUSIVE", "detail": str(exc)}, [], {}
     except lattice.EmbeddingError as exc:
         return EXIT_REFUTED, {"verdict": "EMBEDDING_FAILED", "method": method,
                               "detail": str(exc)}, [], {}
     return EXIT_OK, result, witnesses, {}
 
 
-def cmd_delta_check(args, text, parsed):
+def cmd_delta_check(args, parsed):
     spec = _require_site(parsed)
-    try:
-        ct = eventual.build_ctilde(spec, ModelBound(args.bound))
-    except eventual.BoundTooSmallError as exc:
-        return EXIT_INCONCLUSIVE, {"verdict": "INCONCLUSIVE", "detail": str(exc)}, [], {}
+    ct = eventual.build_ctilde(spec, ModelBound(args.bound))
     # enumerate_models' functors in its order: an empty cover forces an empty carrier
     indices = [i for i, fn in enumerate(ct.functors)
                if models.preserves_covers(fn, spec)]
@@ -244,7 +239,7 @@ def cmd_delta_check(args, text, parsed):
     return (EXIT_OK if ok else EXIT_REFUTED), result, [], {"pairs": pairs}
 
 
-def cmd_eta_check(args, text, parsed):
+def cmd_eta_check(args, parsed):
     spec = _require_site(parsed)
     cat = spec.cat
     mods = models.enumerate_models(spec, ModelBound(args.bound))
@@ -357,8 +352,9 @@ def main(argv=None) -> int:
     except (OSError, ParseError) as exc:
         return _input_error(args, command, str(exc))
     try:
-        code, result, witnesses, timings = HANDLERS[command](args, text, parsed)
-    except site_mod.TooManySievesError as exc:  # a valid site, too large to answer
+        code, result, witnesses, timings = HANDLERS[command](args, parsed)
+    except (site_mod.TooManySievesError, eventual.BoundTooSmallError,
+            lattice.InconclusiveError) as exc:  # a valid input the search cannot settle
         code, result, witnesses, timings = EXIT_INCONCLUSIVE, {
             "verdict": "INCONCLUSIVE", "detail": str(exc)}, [], {}
     except (ValueError, ValidationError) as exc:

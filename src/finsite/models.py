@@ -7,7 +7,7 @@ the Kan-extension point functor (a union-find colimit over elements).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import limits
 from .fincat import COVARIANT, FinCategory, NatTransData, SetValuedFunctor
@@ -344,29 +344,26 @@ class UnionFind:
 
 @dataclass(frozen=True)
 class LanResult:
-    """colim over ∫F of M: zig-zag classes of (object, section, point)."""
+    """colim over ∫F of M: zig-zag classes of (object, section, point), in
+    least-member order, and each triple's class."""
 
     classes: tuple[tuple[tuple[int, int, int], ...], ...]
+    index: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.classes)
 
     def class_of(self, x: int, s: int, point: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if (x, s, point) in cls:
-                return k
-        raise ValueError("triple not in the colimit")
+        return self.index[x, s, point]
 
 
-def lan_ay(m: SetValuedFunctor, f_presheaf) -> LanResult:
+def lan_ay(m: SetValuedFunctor, f_presheaf: SetValuedFunctor) -> LanResult:
     """The Kan-extension point functor on one presheaf, by union-find.
 
     Triples (x, s ∈ F(x), p ∈ M(x)) are glued along every arrow of the base:
     for h: x -> y and t ∈ F(y), (x, F(h)(t), p) ~ (y, t, M(h)(p)).
-    Accepts a bare presheaf or a sheaf object carrying one.
     """
-    f_presheaf = getattr(f_presheaf, "presheaf", f_presheaf)
     cat = m.cat
     triples = [(x, s, p) for x in cat.objects
                for s in f_presheaf.carrier(x) for p in m.carrier(x)]
@@ -377,11 +374,11 @@ def lan_ay(m: SetValuedFunctor, f_presheaf) -> LanResult:
             s = f_presheaf.action[h][t]  # restriction along h
             for p in m.carrier(x):
                 uf.union((x, s, p), (y, t, m.action[h][p]))
-    buckets = {}
+    buckets = {}  # triples ascend and a root is its class's least triple: least-member order
     for triple in triples:
         buckets.setdefault(uf.find(triple), []).append(triple)
-    classes = tuple(tuple(sorted(buckets[root])) for root in sorted(buckets))
-    return LanResult(classes)
+    classes = tuple(map(tuple, buckets.values()))
+    return LanResult(classes, {t: k for k, cls in enumerate(classes) for t in cls})
 
 
 def lan_map(m: SetValuedFunctor, theta: NatTransData) -> dict[int, int]:

@@ -1,15 +1,14 @@
 """Presheaves over a finite site: the +-construction, sheafification as two
 plus passes, sheafified representables, and the cover-factorization lemmas.
 
-Element ids of plus-carriers are canonical: classes of matching families are
-indexed by their least representative in (sieve order, assignment) order, so
-every downstream table is bit-identical across runs.
+Element ids of plus-carriers are canonical: a section of P⁺(x) is its
+matching family over the least covering sieve J₀(x), numbered in
+lexicographic order, so every downstream table is bit-identical across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .fincat import (CONTRAVARIANT, FinCategory, NatTransData, SetValuedFunctor,
                      all_nat_transformations, compatible_families, compose_nat,
@@ -61,35 +60,13 @@ def _families_on(p: SetValuedFunctor, sieve: Sieve):
 
 @dataclass(frozen=True)
 class PlusData:
-    """P⁺ together with its unit and the class bookkeeping needed to locate
-    an arbitrary matching family inside it."""
+    """P⁺ with its unit.  Section k of P⁺(x) is the matching family
+    ``families[x][k]`` over J₀(x), and ``index[x]`` maps it back to k."""
 
-    source: SetValuedFunctor
-    topology: SieveTopology
     presheaf: SetValuedFunctor
     unit: NatTransData
-    # per object: one (J₀(x), arrows, assignment) representative per class
-    representatives: tuple[tuple[tuple[Sieve, tuple[int, ...], tuple[int, ...]], ...], ...]
-
-    @cached_property
-    def _class_ids(self) -> tuple[dict, ...]:
-        """Per object: representative assignment -> class id, built on the
-        first ``class_of`` call only."""
-        return tuple({assignment: k for k, (_, _, assignment) in enumerate(reps)}
-                     for reps in self.representatives)
-
-    def class_of(self, x: int, sieve: Sieve, assignment: tuple[int, ...]) -> int:
-        """The class of a matching family over a covering sieve: the class of
-        its restriction to J₀(x)."""
-        least = self.topology.least[x]
-        k = None
-        if least.arrows <= sieve.arrows:
-            position = {f: i for i, f in enumerate(_sorted_arrows(sieve))}
-            k = self._class_ids[x].get(
-                tuple(assignment[position[f]] for f in _sorted_arrows(least)))
-        if k is None:
-            raise ValueError("assignment is not a matching family over a covering sieve")
-        return k
+    families: tuple[tuple[tuple[int, ...], ...], ...]
+    index: tuple[dict[tuple[int, ...], int], ...] = field(compare=False, repr=False)
 
 
 def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
@@ -131,23 +108,26 @@ def _plus(topology: SieveTopology, p: SetValuedFunctor) -> PlusData:
         tuple([index[x][tuple([p.action[f][s] for f in least[x]])] for s in p.carrier(x)])
         for x in cat.objects)
     unit = NatTransData(p, plus_presheaf, unit_components)
-    reps = tuple(tuple([(topology.least[x], least[x], m) for m in families[x]])
-                 for x in cat.objects)
-    return PlusData(p, topology, plus_presheaf, unit, reps)
+    return PlusData(plus_presheaf, unit, tuple(map(tuple, families)), tuple(index))
 
 
 def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
-    """Functorial action of the +-construction on a map of presheaves."""
+    """Functorial action of the +-construction on a map of presheaves: each
+    J₀(x) family of the source, pushed along theta, is a J₀(x) family of the
+    target.  Raises ValueError when a pushed family does not match, which
+    only a non-natural theta can cause."""
     src_plus = plus(theta.source, topology)
     tgt_plus = plus(theta.target, topology)
     cat = theta.source.cat
     components = []
     for x in cat.objects:
+        pushes = [theta.components[cat.dom[f]] for f in _sorted_arrows(topology.least[x])]
         column = []
-        for rs, ra, rm in src_plus.representatives[x]:
-            pushed = tuple(theta.components[cat.dom[f]][v]
-                           for f, v in zip(ra, rm))
-            column.append(tgt_plus.class_of(x, rs, pushed))
+        for m in src_plus.families[x]:
+            k = tgt_plus.index[x].get(tuple([push[v] for push, v in zip(pushes, m)]))
+            if k is None:
+                raise ValueError("theta is not natural: a pushed family does not match")
+            column.append(k)
         components.append(tuple(column))
     return NatTransData(src_plus.presheaf, tgt_plus.presheaf, tuple(components))
 
@@ -166,15 +146,6 @@ def is_sheaf(p: SetValuedFunctor, topology: SieveTopology) -> bool:
     """P is a sheaf iff its unit P => P⁺ is a bijection at every object
     (Mac Lane-Moerdijk III.5)."""
     return _unit_failure(p, topology) is None
-
-
-def sheaf_for_family(p: SetValuedFunctor, cat: FinCategory, fam) -> bool:
-    """Descent along one family, phrased over the sieve it generates."""
-    from .site import generated_sieve
-    sieve = generated_sieve(cat, fam)
-    arrows, fams = matching_families(p, sieve)
-    images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(fam.codomain)}
-    return len(images) == p.sizes[fam.codomain] and len(fams) == p.sizes[fam.codomain]
 
 
 @dataclass(frozen=True)

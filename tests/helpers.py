@@ -26,7 +26,7 @@ from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
                             validate_functor, validate_set_functor)
 from finsite.lattice import FinLattice, _canonical_form, downset_lattice
 from finsite.models import UnionFind, elements_category
-from finsite.presheaf import PlusData, _sorted_arrows
+from finsite.presheaf import _sorted_arrows, matching_families
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
                           family_covers, generated_sieve, is_sieve, maximal_sieve,
                           pull_sieve, pullback_closure, site_topology)
@@ -447,7 +447,18 @@ def _agrees_on_refinement(cat, topology, x, fam1, fam2):
     return False
 
 
-def slow_plus(p: SetValuedFunctor, topology: SlowTopology) -> PlusData:
+@dataclass(frozen=True)
+class SlowPlus:
+    """The oracle's P⁺ and unit, and per object one (sieve, arrows,
+    assignment) representative per class: its first family over the covering
+    sieves in their order."""
+
+    presheaf: SetValuedFunctor
+    unit: NatTransData
+    representatives: tuple[tuple[tuple[Sieve, tuple[int, ...], tuple[int, ...]], ...], ...]
+
+
+def slow_plus(p: SetValuedFunctor, topology: SlowTopology) -> SlowPlus:
     """The +-construction: sections are classes of matching families over
     covering sieves, identified on common refining covers."""
     cat = p.cat
@@ -510,7 +521,7 @@ def slow_plus(p: SetValuedFunctor, topology: SlowTopology) -> PlusData:
             locate(x, maximal, tuple(p.action[f][s] for f in arrows))
             for s in p.carrier(x)))
     unit = NatTransData(p, plus_presheaf, tuple(unit_components))
-    return PlusData(p, topology, plus_presheaf, unit, reps)
+    return SlowPlus(plus_presheaf, unit, reps)
 
 
 def slow_is_sheaf(p: SetValuedFunctor, topology: SlowTopology) -> bool:
@@ -523,6 +534,14 @@ def slow_is_sheaf(p: SetValuedFunctor, topology: SlowTopology) -> bool:
             if len(images) != p.sizes[x] or len(fams) != p.sizes[x]:
                 return False
     return True
+
+
+def sheaf_for_family(p: SetValuedFunctor, cat: FinCategory, fam) -> bool:
+    """Descent along one family, phrased over the sieve it generates."""
+    sieve = generated_sieve(cat, fam)
+    arrows, fams = matching_families(p, sieve)
+    images = {tuple(p.action[f][s] for f in arrows) for s in p.carrier(fam.codomain)}
+    return len(images) == p.sizes[fam.codomain] and len(fams) == p.sizes[fam.codomain]
 
 
 def glue_site() -> SiteSpec:

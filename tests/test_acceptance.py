@@ -25,11 +25,12 @@ from finsite.presheaf import (ay, enumerate_presheaves,
                               cover_mono_by_representables,
                               extremal_epi_family_in_sh, extremal_epi_in_sh,
                               factor_through_cover, is_sheaf, plus,
-                              sheaf_for_family, sheafified_postcompose, sheafify)
+                              sheafified_postcompose, sheafify)
 from finsite.site import Family, site_topology, tree_saturation
 
 from helpers import (nat_is_pointwise_bijective, nat_is_pointwise_injective,
-                     slow_is_lex, slow_enumerate_functors, slow_preserves_covers)
+                     sheaf_for_family, slow_is_lex, slow_enumerate_functors,
+                     slow_preserves_covers)
 from test_fincat import _mutate, left_zero_monoid
 
 ALL_SITES = fixtures.all_sites()

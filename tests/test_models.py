@@ -17,7 +17,7 @@ from finsite.models import (ModelBound, _square_holds,
                             eta_check, is_lex, lan_ay, lan_map, lex_hull,
                             preserves_covers, subfunctor)
 from finsite.limits import _lex_probes, pullback, terminal_object
-from finsite.presheaf import ay
+from finsite.presheaf import ay, enumerate_presheaves
 from finsite.site import Family, SiteSpec
 
 from helpers import (boolean_leq, cospan_only_category, discrete2_category,
@@ -184,6 +184,28 @@ def test_lan_on_terminal_representable_is_a_point():
         sheaf = ay(site, terminal).sheaf.presheaf
         for model in enumerate_models(site, ModelBound(1)):
             assert lan_ay(model.functor, sheaf).size == 1, name
+
+
+def test_lan_classes_are_ordered_glued_and_indexed():
+    """On functors M and presheaves F with carriers <= 2 on the involution,
+    and every fifth of each on the diamond: the classes come ascending, in least-member order, and
+    hold every triple once; ``class_of`` reads the class that holds a
+    triple; and the two ends of every gluing lie in one class."""
+    for cat, stride in ((DIAMOND, 5), (involution_category(), 1)):
+        functors = list(enumerate_set_functors(cat, 2))[::stride]
+        presheaves = list(enumerate_presheaves(cat, 2))[::stride]
+        for m, f in itertools.product(functors, presheaves):
+            lan = lan_ay(m, f)
+            assert list(lan.classes) == sorted(tuple(sorted(c)) for c in lan.classes)
+            triples = [t for cls in lan.classes for t in cls]
+            assert sorted(triples) == [(x, s, p) for x in cat.objects
+                                       for s in f.carrier(x) for p in m.carrier(x)]
+            assert all(t in lan.classes[lan.class_of(*t)] for t in triples)
+            for h in cat.morphisms:
+                x, y = cat.dom[h], cat.cod[h]
+                assert all(lan.class_of(x, f.action[h][t], p)
+                           == lan.class_of(y, t, m.action[h][p])
+                           for t in f.carrier(y) for p in m.carrier(x))
 
 
 def test_lan_sizes_on_diamond_representables():

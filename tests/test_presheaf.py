@@ -7,25 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fixtures
-from finsite.fincat import (CONTRAVARIANT, FinCategory, SetValuedFunctor,
-                            all_nat_transformations, compose_nat, identity_nat,
-                            poset_category, representable_presheaf,
-                            validate_set_functor)
+from finsite.fincat import (CONTRAVARIANT, FinCategory, NatTransData,
+                            SetValuedFunctor, all_nat_transformations, check_nat,
+                            compose_nat, identity_nat, poset_category,
+                            representable_presheaf, validate_set_functor)
 from finsite.presheaf import (FactorizationError, SheafObject, _maximal,
                               cover_mono_by_representables, enumerate_presheaves,
                               extremal_epi_family_in_sh, extremal_epi_in_sh,
                               factor_through_cover, is_sheaf, matching_families,
-                              plus, sheaf_for_family, sheafified_postcompose,
-                              sheafify, ay)
+                              plus, plus_map, sheafified_postcompose, sheafify, ay)
 from finsite.site import (Family, Sieve, SiteSpec, all_sieves, site_topology,
                           tree_saturation)
 
 from helpers import (fork_category, fresh_site, glue_site, involution_category,
                      left_zero_monoid, nat_is_pointwise_bijective,
                      nat_is_pointwise_injective, oracle_sites, posets,
-                     random_covers_site, slow_all_nat_transformations,
-                     slow_is_sheaf, slow_matching_families, slow_plus,
-                     slow_sieve_topology)
+                     random_covers_site, sheaf_for_family,
+                     slow_all_nat_transformations, slow_is_sheaf,
+                     slow_matching_families, slow_plus, slow_sieve_topology)
 
 DIAMOND_SITE = fixtures.load_site("diamond")
 DIAMOND = DIAMOND_SITE.cat
@@ -369,7 +368,12 @@ def _assert_plus_matches_oracle(site, bound, label):
             got, expected = plus(p, fast), slow_plus(p, slow)
             assert got.presheaf == expected.presheaf, (label, p)
             assert got.unit == expected.unit, (label, p)
-            assert got.representatives == expected.representatives, (label, p)
+            for x, reps in enumerate(expected.representatives):
+                least = fast.least[x]
+                assert all((sieve, arrows) == (least, tuple(sorted(least.arrows)))
+                           for sieve, arrows, _ in reps), (label, p, x)
+                assert got.families[x] == tuple(m for _, _, m in reps), (label, p, x)
+                assert got.index[x] == {m: k for k, m in enumerate(got.families[x])}
             p = got.presheaf
 
 
@@ -408,19 +412,56 @@ def test_maps_between_sheafified_representables_match_the_brute_force():
                     == list(slow_all_nat_transformations(source, target)), name
 
 
-def test_class_of_restricts_to_the_least_covering_sieve():
-    p = glued_presheaf()
-    data = plus(p, TOPOLOGY)
-    for x in DIAMOND.objects:
-        for sieve in TOPOLOGY.covering_sieves(x):
-            arrows, fams = matching_families(p, sieve)
-            for assignment in fams:
-                k = data.class_of(x, sieve, assignment)
-                rs, ra, rm = data.representatives[x][k]
-                assert rs == TOPOLOGY.least[x]
-                assert all(assignment[arrows.index(f)] == v for f, v in zip(ra, rm))
-    with pytest.raises(ValueError):
-        data.class_of(3, Sieve(3, frozenset([7])), (0,))  # not a covering sieve
+def test_covering_families_restrict_to_listed_least_sieve_families():
+    """A matching family over any covering sieve on x restricts to one over
+    J₀(x), and that restriction is listed in P⁺(x): it is the section."""
+    for p in [glued_presheaf(), *itertools.islice(enumerate_presheaves(DIAMOND, 2), 120)]:
+        data = plus(p, TOPOLOGY)
+        for x in DIAMOND.objects:
+            least = sorted(TOPOLOGY.least[x].arrows)
+            for sieve in TOPOLOGY.covering_sieves(x):
+                arrows, fams = matching_families(p, sieve)
+                for assignment in fams:
+                    restricted = tuple(assignment[arrows.index(f)] for f in least)
+                    assert data.families[x][data.index[x][restricted]] == restricted
+
+
+def _assert_plus_map_is_natural_and_commutes_with_units(site, presheaves):
+    """For every theta: P => Q, plus_map(theta) is natural and
+    plus_map(theta) ∘ η_P = η_Q ∘ theta, which pins it down: every section of
+    P⁺ is locally a unit image."""
+    topology = site_topology(site)
+    for p in presheaves:
+        for q in presheaves:
+            for theta in all_nat_transformations(p, q):
+                mapped = plus_map(theta, topology)
+                assert check_nat(mapped), (p, q, theta)
+                assert compose_nat(mapped, plus(p, topology).unit) \
+                    == compose_nat(plus(q, topology).unit, theta), (p, q, theta)
+
+
+def test_plus_map_is_natural_and_commutes_with_units():
+    for name in ("diamond", "wide5"):
+        site = fixtures.load_site(name)
+        _assert_plus_map_is_natural_and_commutes_with_units(
+            site, list(enumerate_presheaves(site.cat, 1)))
+    # every fifth presheaf at bound 2: about 10,000 transformations
+    _assert_plus_map_is_natural_and_commutes_with_units(
+        DIAMOND_SITE, list(enumerate_presheaves(DIAMOND, 2))[::5])
+
+
+def test_plus_map_rejects_a_non_natural_transformation():
+    """The point sent to point 1 of the two-point constant presheaf at b and
+    to point 0 elsewhere: pushed along it, the family over J₀(b) takes 1 at
+    id_b and 0 at 0 -> b, and 1 does not restrict to 0."""
+    point = SetValuedFunctor(DIAMOND, CONTRAVARIANT, (1, 1, 1, 1),
+                             tuple((0,) for _ in DIAMOND.morphisms))
+    two = SetValuedFunctor(DIAMOND, CONTRAVARIANT, (2, 2, 2, 2),
+                           tuple((0, 1) for _ in DIAMOND.morphisms))
+    theta = NatTransData(point, two, ((0,), (0,), (1,), (0,)))
+    assert not check_nat(theta)
+    with pytest.raises(ValueError, match="does not match"):
+        plus_map(theta, TOPOLOGY)
 
 
 def _lifts_on_some_covering_sieve(topology, legs, target):
