@@ -9,7 +9,7 @@ are not fixtures, the involution, the fork and the equalized fork at bounds
 cases are ``models --json`` on bool_4, pbool_4 and bool_5 at bound 1,
 pbool_3 and chain_6 at bound 2.  The topology cases are ``saturate --json``
 on every fixture, bool_3, grid_3x4 and pbool_3, and ``sheafify --json`` on
-every object of bool_3.  The factor cases are ``factor --json`` for every
+every object of bool_3, bool_4 and the wide5 and diamond fixtures.  The factor cases are ``factor --json`` for every
 ordered pair of objects of every fixture, the only documents that list
 natural transformations in enumeration order.  The poset sites are named
 and covered as the benchmark's ladder writes them; every site that is not
@@ -127,8 +127,14 @@ def topology_cli_cases() -> list[tuple[str, ...]]:
     """argv tuples, with the site file given by its name."""
     cases = [("saturate", f"{name}.site", "--json")
              for name in (*fixtures.SITE_NAMES, "bool_3", "grid_3x4", "pbool_3")]
-    names, _ = POSET_SITES["bool_3"]()
-    return cases + [("sheafify", "bool_3.site", "--object", x, "--json") for x in names]
+    for name in ("bool_3", "bool_4"):
+        names, _ = POSET_SITES[name]()
+        cases += [("sheafify", f"{name}.site", "--object", x, "--json") for x in names]
+    for name in ("wide5", "diamond"):
+        cat = fixtures.load_site(name).cat
+        cases += [("sheafify", f"{name}.site", "--object", cat.obj_name(x), "--json")
+                  for x in cat.objects]
+    return cases
 
 
 def factor_cli_cases() -> list[tuple[str, ...]]:

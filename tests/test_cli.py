@@ -400,7 +400,8 @@ def test_thin_models_json_match_the_recorded_documents(capsys, tmp_path):
 def test_saturate_and_sheafify_json_match_the_recorded_documents(capsys, tmp_path):
     """``saturate --json`` on every fixture, bool_3, grid_3x4 and pbool_3
     (no pullback of two atoms: exit 3), and ``sheafify --json`` on every
-    object of bool_3, print the bytes recorded in ``cli_documents.json``."""
+    object of bool_3, bool_4 and the wide5 and diamond fixtures, print the
+    bytes recorded in ``cli_documents.json``."""
     recorded = json.loads(DOCUMENTS.read_text())
     paths = write_sites(tmp_path)
     for case in topology_cli_cases():
