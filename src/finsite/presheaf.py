@@ -32,30 +32,42 @@ def _sorted_arrows(sieve: Sieve) -> tuple[int, ...]:
     return tuple(sorted(sieve.arrows))
 
 
+@kept
+def _equations(cat: FinCategory, sieve: Sieve):
+    """The sieve's arrows f_k ascending and (k, g, j) for each g ≠ id into
+    dom f_k, where f_k∘g = f_j; kept on the category, per sieve."""
+    arrows = _sorted_arrows(sieve)
+    position = {f: k for k, f in enumerate(arrows)}
+    dom = cat.dom
+    return arrows, tuple([(k, g, position[cat.comp[f][g]]) for k, f in enumerate(arrows)
+                          for g in cat.into(dom[f]) if g != cat.identity[dom[f]]])
+
+
 def matching_families(p: SetValuedFunctor, sieve: Sieve):
     """All compatible assignments over the sieve, lexicographic in arrow order.
 
     An assignment gives each arrow f in the sieve an element of P(dom f);
     compatibility demands assignment(f∘g) = P(g)(assignment(f)).
     """
-    cat = p.cat
-    arrows = _sorted_arrows(sieve)
-    position = {f: k for k, f in enumerate(arrows)}
-    comp, action, dom, identity = cat.comp, p.action, cat.dom, cat.identity
-    equations = [(k, action[g], position[comp[f][g]]) for k, f in enumerate(arrows)
-                 for g in cat.into(dom[f]) if g != identity[dom[f]]]  # P(id) is the identity
-    return arrows, compatible_families([p.sizes[dom[f]] for f in arrows], equations)
+    arrows, skeleton = _equations(p.cat, sieve)
+    dom, action = p.cat.dom, p.action
+    return arrows, compatible_families([p.sizes[dom[f]] for f in arrows],
+                                       [(k, action[g], j) for k, g, j in skeleton])
 
 
-def _families_on(p: SetValuedFunctor, sieve: Sieve):
-    """``matching_families`` without the product when the sieve holds the
-    identity: then it is maximal, and its families are exactly (P(f)(s))_f
-    for s in P(x)."""
-    x = sieve.target
-    if p.cat.identity[x] not in sieve.arrows:
-        return matching_families(p, sieve)
-    arrows = _sorted_arrows(sieve)
-    return arrows, sorted([tuple([p.action[f][s] for f in arrows]) for s in p.carrier(x)])
+@kept
+def _plan(topology: SieveTopology):
+    """What the +-construction reads off the topology alone: per object
+    J₀(x) ascending and whether it starts with id_x, and per arrow f: z -> x
+    the positions in J₀(x) of f∘g for g in J₀(z)."""
+    cat = topology.cat
+    least = tuple(_sorted_arrows(sieve) for sieve in topology.least)
+    position = [{f: k for k, f in enumerate(arrows)} for arrows in least]
+    direct = tuple(bool(arrows) and arrows[0] == cat.identity[x]
+                   for x, arrows in enumerate(least))
+    through = tuple(tuple([position[cat.cod[f]][cat.comp[f][g]] for g in least[cat.dom[f]]])
+                    for f in cat.morphisms)  # J₀(dom f) ⊆ f*J₀(cod f)
+    return least, direct, through
 
 
 @dataclass(frozen=True)
@@ -79,8 +91,10 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
     are identified iff they agree on J₀(x), and each class holds exactly one
     family on J₀(x).  J₀(x) also comes first in ``Sieve.sort_key`` order, so
     that family is the least one of its class.  Restriction and the unit
-    restrict to J₀ of the domain and look the result up.  The result is
-    kept on the topology, per presheaf value.
+    restrict to J₀ of the domain and look the result up, except where J₀(x)
+    starts with id_x: the family of s then starts with s, so P⁺(x) is P(x)
+    and the unit is the identity.  The result is kept on the topology, per
+    presheaf value.
     """
     return _plus(topology, p)
 
@@ -88,27 +102,37 @@ def plus(p: SetValuedFunctor, topology: SieveTopology) -> PlusData:
 @kept
 def _plus(topology: SieveTopology, p: SetValuedFunctor) -> PlusData:
     cat = p.cat
-    least = [_sorted_arrows(topology.least[x]) for x in cat.objects]
-    families = [_families_on(p, topology.least[x])[1] for x in cat.objects]
-    index = [{m: k for k, m in enumerate(fams)} for fams in families]
-    position = [{f: k for k, f in enumerate(arrows)} for arrows in least]
-    sizes = tuple(len(fams) for fams in families)
+    least, direct, through = _plan(topology)
+    families = []
+    for x in cat.objects:
+        if cat.identity[x] not in topology.least[x].arrows:
+            families.append(matching_families(p, topology.least[x])[1])
+        else:  # maximal: its families are read off P(x), in order when direct
+            fams = list(zip(*[p.action[f] for f in least[x]]))
+            families.append(fams if direct[x] else sorted(fams))
+    index = tuple([dict(zip(fams, range(len(fams)))) for fams in families])
+    sizes = tuple([len(fams) for fams in families])
 
     # tuples are built from lists: the plus table keeps them, and a tuple
     # built from a generator can keep an over-allocated block
     action = []
     for f in cat.morphisms:
         x, z = cat.cod[f], cat.dom[f]  # contravariant: restrict along f: z -> x
-        through = [position[x][cat.comp[f][g]] for g in least[z]]  # J₀(z) ⊆ f*J₀(x)
-        action.append(tuple([index[z][tuple([m[k] for k in through])]
-                             for m in families[x]]))
+        if not direct[z]:
+            action.append(tuple([index[z][tuple([m[k] for k in through[f]])]
+                                 for m in families[x]]))
+        elif direct[x]:
+            action.append(p.action[f])
+        else:  # the family restricts to its entry at f∘id_z
+            action.append(tuple([m[through[f][0]] for m in families[x]]))
     plus_presheaf = SetValuedFunctor(cat, CONTRAVARIANT, sizes, tuple(action))
 
     unit_components = tuple(
+        tuple(range(p.sizes[x])) if direct[x] else
         tuple([index[x][tuple([p.action[f][s] for f in least[x]])] for s in p.carrier(x)])
         for x in cat.objects)
     unit = NatTransData(p, plus_presheaf, unit_components)
-    return PlusData(plus_presheaf, unit, tuple(map(tuple, families)), tuple(index))
+    return PlusData(plus_presheaf, unit, tuple(map(tuple, families)), index)
 
 
 def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
@@ -119,9 +143,10 @@ def plus_map(theta: NatTransData, topology: SieveTopology) -> NatTransData:
     src_plus = plus(theta.source, topology)
     tgt_plus = plus(theta.target, topology)
     cat = theta.source.cat
+    least = _plan(topology)[0]
     components = []
     for x in cat.objects:
-        pushes = [theta.components[cat.dom[f]] for f in _sorted_arrows(topology.least[x])]
+        pushes = [theta.components[cat.dom[f]] for f in least[x]]
         column = []
         for m in src_plus.families[x]:
             k = tgt_plus.index[x].get(tuple([push[v] for push, v in zip(pushes, m)]))
@@ -159,12 +184,12 @@ class SheafObject:
     @staticmethod
     def build(p: SetValuedFunctor, topology: SieveTopology) -> "SheafObject":
         """Check the sheaf condition by the unit criterion of ``is_sheaf``,
-        which gives it on every covering sieve, and count the covering
+        which gives it on every covering sieve, then count the covering
         sieves."""
         x = _unit_failure(p, topology)
         if x is not None:
             raise ValueError(f"sheaf condition fails at object {x}")
-        return SheafObject(p, sum(len(topology.covering_sieves(y)) for y in p.cat.objects))
+        return SheafObject(p, topology.covering_sieve_count())
 
 
 @dataclass(frozen=True)

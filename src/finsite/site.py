@@ -225,21 +225,13 @@ def all_sieves(cat: FinCategory, y: int) -> tuple[Sieve, ...]:
     return sieves_containing(cat, Sieve(y, frozenset()))
 
 
-@kept
-def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
-    """Every sieve on y = start.target that contains ``start``, in
-    ``Sieve.sort_key`` order: the down-sets of into(y) under factorization.
-
-    Keep start's arrows, then take the first undecided arrow f: either keep
-    it with its principal sieve {f∘g}, or drop it with every arrow that f
-    factors through.  Each leaf is a distinct down-set containing start.
-    Only the arrows outside start count against the guard, and the result
-    is kept on the category, per start sieve.
-    """
-    y = start.target
-    arrows = cat.into(y)
+def _factor_masks(cat: FinCategory, start: Sieve):
+    """into(y) for y = start.target, start's arrows as a mask, and per arrow
+    i the masks of the arrows below and above it, by position in into(y).
+    Only the arrows outside start count against the guard."""
+    arrows = cat.into(start.target)
     if len(arrows) - len(start.arrows) > MAX_ARROWS_FOR_SIEVES:
-        raise TooManySievesError(f"too many arrows into {y} to enumerate sieves")
+        raise TooManySievesError(f"too many arrows into {start.target} to enumerate sieves")
     position = {f: i for i, f in enumerate(arrows)}
     below = [0] * len(arrows)  # bit j: arrow j factors through arrow i
     above = [0] * len(arrows)  # bit j: arrow i factors through arrow j
@@ -248,19 +240,47 @@ def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
             j = position[cat.comp[f][g]]
             below[i] |= 1 << j
             above[j] |= 1 << i
+    return arrows, _mask(position[f] for f in start.arrows), below, above
+
+
+@kept
+def sieves_containing(cat: FinCategory, start: Sieve) -> tuple[Sieve, ...]:
+    """Every sieve on y = start.target that contains ``start``, in
+    ``Sieve.sort_key`` order: the down-sets of into(y) under factorization.
+
+    Keep start's arrows, then take the first undecided arrow f: either keep
+    it with its principal sieve {f∘g}, or drop it with every arrow that f
+    factors through.  Each leaf is a distinct down-set containing start.
+    The result is kept on the category, per start sieve.
+    """
+    arrows, held, below, above = _factor_masks(cat, start)
     everything = (1 << len(arrows)) - 1
     out = []
-    stack = [(_mask(position[f] for f in start.arrows), 0)]  # (held, dropped)
+    stack = [(held, 0)]  # (held, dropped)
     while stack:
         held, dropped = stack.pop()
         undecided = everything & ~(held | dropped)
         if not undecided:
-            out.append(Sieve(y, frozenset(arrows[i] for i in _bits(held))))
+            out.append(Sieve(start.target, frozenset(arrows[i] for i in _bits(held))))
             continue
         i = (undecided & -undecided).bit_length() - 1
         stack.append((held | below[i], dropped))
         stack.append((held, dropped | above[i]))
     return tuple(sorted(out, key=Sieve.sort_key))
+
+
+def count_sieves_containing(cat: FinCategory, start: Sieve) -> int:
+    """``len(sieves_containing(cat, start))`` under the same guard: the same
+    search, memoised on the undecided mask, which alone fixes a node's leaves."""
+    arrows, held, below, above = _factor_masks(cat, start)
+    counts = {0: 1}
+
+    def count(undecided):
+        if undecided not in counts:
+            i = (undecided & -undecided).bit_length() - 1
+            counts[undecided] = count(undecided & ~below[i]) + count(undecided & ~above[i])
+        return counts[undecided]
+    return count(((1 << len(arrows)) - 1) & ~held)
 
 
 @dataclass(frozen=True)
@@ -283,6 +303,11 @@ class SieveTopology:
         """Every covering sieve on y in ``Sieve.sort_key`` order, J₀(y) first:
         the sieves that contain J₀(y)."""
         return list(sieves_containing(self.cat, self.least[y]))
+
+    @kept
+    def covering_sieve_count(self) -> int:
+        """How many sieves cover some object, counted, not listed; kept."""
+        return sum(count_sieves_containing(self.cat, sieve) for sieve in self.least)
 
 
 def generate_sieve_topology(site: SiteSpec) -> SieveTopology:

@@ -11,18 +11,19 @@ from finsite.fincat import (CONTRAVARIANT, FinCategory, NatTransData,
                             SetValuedFunctor, all_nat_transformations, check_nat,
                             compose_nat, identity_nat, poset_category,
                             representable_presheaf, validate_set_functor)
-from finsite.presheaf import (FactorizationError, SheafObject, _maximal,
+from finsite.presheaf import (FactorizationError, SheafObject, _maximal, _plan,
                               cover_mono_by_representables, enumerate_presheaves,
                               extremal_epi_family_in_sh, extremal_epi_in_sh,
                               factor_through_cover, is_sheaf, matching_families,
                               plus, plus_map, sheafified_postcompose, sheafify, ay)
-from finsite.site import (Family, Sieve, SiteSpec, all_sieves, site_topology,
-                          tree_saturation)
+from finsite.site import (Family, Sieve, SiteSpec, all_sieves, sieves_containing,
+                          site_topology, tree_saturation)
 
-from helpers import (fork_category, fresh_site, glue_site, involution_category,
+from helpers import (boolean_leq, equalized_fork_category, fork_category, fresh_site,
+                     glue_site, involution_category, iso_pair_category, kept_entries,
                      left_zero_monoid, nat_is_pointwise_bijective,
-                     nat_is_pointwise_injective, oracle_sites, posets,
-                     random_covers_site, sheaf_for_family,
+                     nat_is_pointwise_injective, oracle_sites, poset_site, posets,
+                     random_covers_site, reversed_ids, sheaf_for_family,
                      slow_all_nat_transformations, slow_is_sheaf,
                      slow_matching_families, slow_plus, slow_sieve_topology)
 
@@ -122,6 +123,14 @@ def test_sheaf_object_build_matches_the_covering_sieve_oracle():
                 sheaf = SheafObject.build(p, fast)
                 assert sheaf.certified_sieves == sum(
                     len(slow.covering_sieves(x)) for x in cat.objects), (name, p)
+
+
+def test_sheafify_counts_the_covering_sieves_without_listing_them():
+    """bool_4 has 167 covering sieves; ``ay`` certifies them all and lists
+    none."""
+    site = poset_site(boolean_leq(4))
+    assert ay(site, site.cat.n_objects - 1).sheaf.certified_sieves == 167
+    assert kept_entries(site.cat, sieves_containing) == {}
 
 
 def test_two_point_discrepancy_presheaf_is_not_a_sheaf():
@@ -389,6 +398,52 @@ def test_plus_and_is_sheaf_match_the_covering_sieve_oracle_on_random_posets(leq,
     site = random_covers_site(poset_category(leq), seed)
     bound = 2 if len(leq) <= 4 else 1
     _assert_plus_matches_oracle(site, bound, seed)
+
+
+def _relabelled(site):
+    """The site over ``reversed_ids`` of its category, covers carried along."""
+    n = site.cat.n_morphisms
+    return SiteSpec.make(reversed_ids(site.cat), [
+        Family.make(fam.codomain, [n - 1 - f for f in fam.legs]) for fam in site.covers])
+
+
+def test_plus_matches_the_oracle_on_non_thin_categories():
+    """The involution, fork, equalized fork and iso pair with random covers,
+    at B <= 2."""
+    cats = dict(involution=involution_category(), fork=fork_category(),
+                equalized_fork=equalized_fork_category(), iso_pair=iso_pair_category())
+    for name, cat in cats.items():
+        for seed in range(6):
+            for bound in (1, 2):
+                _assert_plus_matches_oracle(random_covers_site(cat, seed), bound,
+                                            (name, seed, bound))
+
+
+def test_plus_matches_the_oracle_where_identities_are_not_least():
+    """With morphism ids reversed, a maximal J₀(x) with an arrow from another
+    object starts with that arrow, not id_x, so P⁺(x) takes the sorted path."""
+    sites = {name: _relabelled(fixtures.load_site(name)) for name in ("diamond", "wide5")}
+    for name, make in (("fork", fork_category), ("iso_pair", iso_pair_category),
+                       ("involution", involution_category)):
+        for seed in range(3):
+            sites[f"{name}:random{seed}"] = random_covers_site(reversed_ids(make()), seed)
+    sorted_path = 0
+    for name, site in sites.items():
+        topology, cat = site_topology(site), site.cat
+        least, direct, _ = _plan(topology)
+        sorted_path += sum(cat.identity[x] in least[x] and not direct[x] for x in cat.objects)
+        _assert_plus_matches_oracle(site, 2, name)
+    assert sorted_path > 0
+
+
+def test_plus_matches_the_oracle_on_an_empty_least_sieve():
+    """An empty cover makes J₀ empty: P⁺ there is one point, the empty family."""
+    topology = site_topology(EMPTY_SITE)
+    empty = [x for x in EMPTY_SITE.cat.objects if not topology.least[x].arrows]
+    assert empty
+    _assert_plus_matches_oracle(EMPTY_SITE, 2, "diamond_empty")
+    for p in enumerate_presheaves(EMPTY_SITE.cat, 2):
+        assert all(plus(p, topology).presheaf.sizes[x] == 1 for x in empty)
 
 
 def test_matching_families_match_the_brute_force_on_every_sieve():

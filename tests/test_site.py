@@ -11,7 +11,8 @@ from finsite import fixtures
 from finsite.fincat import (FinCategory, FunctorData, identity_functor, poset_category,
                             validate_functor)
 from finsite.site import (MAX_ARROWS_FOR_SIEVES, Family, MissingPullbackError,
-                          Sieve, SiteSpec, all_sieves, family_covers,
+                          Sieve, SiteSpec, TooManySievesError, all_sieves,
+                          count_sieves_containing, family_covers,
                           generate_sieve_topology, generated_sieve, is_sieve,
                           is_site_morphism, maximal_sieve, pull_sieve,
                           pullback_closure, sieves_containing, site_topology,
@@ -169,6 +170,11 @@ def test_all_sieves_guard_on_a_long_chain():
     assert len(all_sieves(cat, n - 2)) == n  # the n - 1 arrows form a chain
     with pytest.raises(ValueError):
         all_sieves(cat, n - 1)
+    assert count_sieves_containing(cat, Sieve(n - 2, frozenset())) == n
+    with pytest.raises(TooManySievesError):
+        count_sieves_containing(cat, Sieve(n - 1, frozenset()))
+    with pytest.raises(TooManySievesError):
+        sieves_containing(cat, Sieve(n - 1, frozenset()))
 
 
 def test_covering_sieves_are_searched_from_the_least_covering_sieve():
@@ -212,6 +218,26 @@ def test_sieves_containing_a_sieve_are_the_filtered_sieves():
             for start in every:
                 assert sieves_containing(cat, start) == tuple(
                     sieve for sieve in every if start.arrows <= sieve.arrows), (cat, start)
+
+
+def test_counted_sieves_are_the_listed_sieves():
+    """For every sieve S on every object, ``count_sieves_containing`` is the
+    length of ``sieves_containing``, on the fixtures, bool_3, bool_4 and
+    the non-poset categories; a topology's count sums its covering sieves."""
+    cats = [site.cat for site in ALL_SITES.values()]
+    cats += [poset_category(boolean_leq(3)), poset_category(boolean_leq(4)),
+             fork_category(), left_zero_monoid(), iso_pair_category(),
+             involution_category(), equalized_fork_category(),
+             cospan_only_category(), discrete2_category()]
+    for cat in cats:
+        for y in cat.objects:
+            for start in all_sieves(cat, y):
+                assert count_sieves_containing(cat, start) \
+                    == len(sieves_containing(cat, start)), (cat, start)
+    for name, site in oracle_sites(ALL_SITES).items():
+        topology = site_topology(site)
+        assert topology.covering_sieve_count() == sum(
+            len(topology.covering_sieves(y)) for y in site.cat.objects), name
 
 
 def test_bool_4_builds_only_the_covering_sieves():
