@@ -13,11 +13,14 @@ every object of bool_3, bool_4 and the wide5 and diamond fixtures.  The factor c
 ordered pair of objects of every fixture, the only documents that list
 natural transformations in enumeration order.  The poset sites are named
 and covered as the benchmark's ladder writes them; every site that is not
-a fixture is written to a temporary file.  Each document is kept as its exit code and
-the SHA-256 of its stdout bytes.
+a fixture is written to a temporary file.  The error cases are
+``check --json`` and ``saturate --json`` on malformed files, one for each
+``ParseError`` message a file can raise and one that fails validation.  Each
+document is kept as its exit code and the SHA-256 of its stdout bytes.
 
 Run from the root of a checkout, only when a change to the chase, the
-eventual, the models, the topology or the factor output is intended:
+eventual, the models, the topology, the factor or the error output is
+intended:
 
     PYTHONPATH=src python tests/record_cli_documents.py
 """
@@ -148,9 +151,45 @@ def factor_cli_cases() -> list[tuple[str, ...]]:
     return cases
 
 
+# file name -> text: each raises one ParseError message of the file format,
+# or (no_terminal.site) parses and fails validation
+MALFORMED_FILES = {
+    "unterminated_block.site": "object x\nposet {\n  x < y\n",
+    "bad_object_name.site": "object x-y\ncover x-y <- [id_x-y]\n",
+    "duplicate_object.site": "object x\nobject y\nobject x\n",
+    "bad_arrow.site": "object x\narrow f x -> x\n",
+    "bad_compose.site": "object x\narrow f : x -> x\ncompose f f = f\n",
+    "bad_poset.site": "poset a < b\n",
+    "poset_content.site": "poset {\n  a < b\n  b ? c\n}\ncover b <- [id_b]\n",
+    "bad_cover.site": "object x\ncover x <- id_x\n",
+    "unrecognized_directive.site": "object x\nmorphism f : x -> x\n",
+    "mixed_poset_arrows.site": "object x\nobject y\narrow f : x -> y\nposet { x < y }\n",
+    "poset_cycle.site": "poset {\n  a < b\n  b < c\n  c < a\n}\n",
+    "duplicate_arrow.site": "object x\nobject y\narrow f : x -> y\narrow f : y -> x\n",
+    "unknown_morphism.site": "object x\narrow f : x -> x\ncompose f . g = f\n",
+    "dangling_endpoint.site": "object x\narrow f : x -> y\ncover x <- [id_x]\n",
+    "cover_unknown_object.site": "poset { a < b }\ncover c <- [id_b]\n",
+    "cover_bad_leg.site": "poset { a < b }\ncover b <- [id_b, b_to_a]\n",
+    "bad_lattice.lat": "lattice of {\n  elements: a\n}\n",
+    "no_elements.lat": "lattice {\n  a < b\n}\n",
+    "bad_elements.lat": "lattice {\n  elements: a, b\n  a < b\n}\n",
+    "bad_join.lat": "lattice {\n  elements: a b\n  a < b\n  join b a\n}\n",
+    "unknown_join_element.lat": "lattice {\n  elements: a b\n  a < b\n  join b <- [a, c]\n}\n",
+    "unknown_relation_element.lat": "lattice {\n  elements: a b\n  a < c\n}\n",
+    "lattice_content.lat": "lattice {\n  elements: a b\n  a < b\n  b ? a\n}\n",
+    "no_terminal.site": "object x\nobject y\n",
+}
+
+
+def error_cli_cases() -> list[tuple[str, ...]]:
+    """argv tuples, with the malformed file given by its name."""
+    return [(command, name, "--json")
+            for name in MALFORMED_FILES for command in ("check", "saturate")]
+
+
 def write_sites(directory) -> dict[str, str]:
-    """Print each site that is not a fixture into ``directory``; file name
-    -> path."""
+    """Print each site that is not a fixture, and write each malformed file,
+    into ``directory``; file name -> path."""
     sites = {name: top_covered_site(make(), top)
              for name, (make, top) in EVENTUAL_SITES.items()}
     for name, make in POSET_SITES.items():
@@ -161,6 +200,10 @@ def write_sites(directory) -> dict[str, str]:
         path = Path(directory) / f"{name}.site"
         path.write_text(print_site(site), encoding="utf-8")
         paths[path.name] = str(path)
+    for name, text in MALFORMED_FILES.items():
+        path = Path(directory) / name
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
     return paths
 
 
@@ -184,7 +227,7 @@ def main():
     with tempfile.TemporaryDirectory() as directory:
         paths = write_sites(directory)
         for case in (chase_cli_cases() + eventual_cli_cases() + models_cli_cases()
-                     + topology_cli_cases() + factor_cli_cases()):
+                     + topology_cli_cases() + factor_cli_cases() + error_cli_cases()):
             code, stdout = run_case(case, paths)
             documents[" ".join(case)] = {"code": code, "sha256": digest(stdout)}
     DOCUMENTS.write_text(json.dumps(documents, indent=1, sort_keys=True) + "\n")

@@ -28,9 +28,9 @@ from helpers import (boolean_leq, cospan_only_category, discrete2_category,
                      iso_pair_category, left_zero_monoid, poset_site, posets,
                      random_covers_site, slow_plus, slow_sieve_topology)
 from record_cli_documents import (DOCUMENTS, chase_cli_cases, digest,
-                                  eventual_cli_cases, factor_cli_cases,
-                                  models_cli_cases, topology_cli_cases,
-                                  write_sites)
+                                  error_cli_cases, eventual_cli_cases,
+                                  factor_cli_cases, models_cli_cases,
+                                  topology_cli_cases, write_sites)
 
 
 def fixture_path(name):
@@ -362,7 +362,7 @@ def test_chase_and_separate_json_match_the_recorded_documents(capsys):
     cases = chase_cli_cases()
     assert sorted(" ".join(case) for case in cases + eventual_cli_cases()
                   + models_cli_cases() + topology_cli_cases()
-                  + factor_cli_cases()) == sorted(recorded)
+                  + factor_cli_cases() + error_cli_cases()) == sorted(recorded)
     for case in cases:
         code, out = run_cli(capsys, case[0], fixture_path(case[1]), *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
@@ -407,6 +407,17 @@ def test_saturate_and_sheafify_json_match_the_recorded_documents(capsys, tmp_pat
     for case in topology_cli_cases():
         path = paths.get(case[1]) or fixture_path(case[1])
         code, out = run_cli(capsys, case[0], path, *case[2:])
+        assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
+
+
+def test_error_json_match_the_recorded_documents(capsys, tmp_path):
+    """``check --json`` and ``saturate --json`` on one malformed file per
+    ``ParseError`` message (exit 3) and on one that fails validation (check
+    exits 1, saturate 3) print the bytes recorded in ``cli_documents.json``."""
+    recorded = json.loads(DOCUMENTS.read_text())
+    paths = write_sites(tmp_path)
+    for case in error_cli_cases():
+        code, out = run_cli(capsys, case[0], paths[case[1]], *case[2:])
         assert {"code": code, "sha256": digest(out)} == recorded[" ".join(case)], case
 
 
