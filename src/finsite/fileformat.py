@@ -37,7 +37,52 @@ class ValidationError(Exception):
 
 
 _NAME = r"[A-Za-z0-9_★∅]+"
-_RELATION = re.compile(rf"({_NAME})\s*<\s*({_NAME})")
+_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_★∅")
+# compiled on first use, through re's own cache: explicit-form files never use it
+_RELATION = rf"({_NAME})\s*<\s*({_NAME})"
+
+
+def _is_name(text: str) -> bool:
+    return bool(text) and _NAME_CHARS.issuperset(text)
+
+
+def _cut(text: str, *separators):
+    """``text`` cut at the first of each separator in turn, every piece
+    stripped; None when a separator is missing."""
+    pieces = []
+    for separator in separators:
+        piece, found, text = text.partition(separator)
+        if not found:
+            return None
+        pieces.append(piece.strip())
+    pieces.append(text.strip())
+    return pieces
+
+
+def _names(text: str, *separators):
+    """The names between ``separators`` in ``text``, or None unless every
+    piece is a name."""
+    pieces = _cut(text, *separators)
+    if pieces is None or not all(map(_is_name, pieces)):
+        return None
+    return pieces
+
+
+def _legs(text: str):
+    """``B <- [F1, F2, ...]`` as (B, [F1, F2, ...]), or None."""
+    pieces = _cut(text, "<-", "[", "]")
+    if pieces is None or not _is_name(pieces[0]) or pieces[1] or pieces[3]:
+        return None
+    return pieces[0], [s.strip() for s in pieces[2].split(",") if s.strip()]
+
+
+def _block(body: str, keyword: str):
+    """The text between the braces of ``keyword { ... }``, which runs to the
+    last ``}``, or None."""
+    rest = body[len(keyword):].lstrip()
+    if not (rest.startswith("{") and rest.endswith("}")):
+        return None
+    return rest[1:-1]
 
 
 def _relations(lines):
@@ -50,11 +95,12 @@ def _relations(lines):
     def line_at(pos):
         return lines[block.count("\n", 0, pos)][0]
     relations = [(rel.group(1), rel.group(2), line_at(rel.start()))
-                 for rel in _RELATION.finditer(chunk)]
-    stray = re.search(r"\S", _RELATION.sub(lambda rel: " " * len(rel.group(0)), chunk))
-    if stray is None:
+                 for rel in re.finditer(_RELATION, chunk)]
+    masked = re.sub(_RELATION, lambda rel: " " * len(rel.group(0)), chunk)
+    stray = len(masked) - len(masked.lstrip())
+    if stray == len(masked):
         return relations, None
-    return relations, (line_at(stray.start()), _RELATION.sub("", chunk).strip())
+    return relations, (line_at(stray), re.sub(_RELATION, "", chunk).strip())
 
 
 def _strip_comment(line: str) -> str:
@@ -117,41 +163,37 @@ def _parse_site_lines(lines) -> SiteSpec:
     for lineno, body in lines:
         if body.startswith("object "):
             name = body[len("object "):].strip()
-            if not re.fullmatch(_NAME, name):
+            if not _is_name(name):
                 raise ParseError(lineno, len("object ") + 1, f"bad object name {name!r}")
             if name in builder.objects:
                 raise ParseError(lineno, 1, f"duplicate object {name!r}")
             builder.objects.append(name)
         elif body.startswith("arrow "):
-            m = re.fullmatch(
-                rf"arrow\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})", body)
-            if not m:
+            names = _names(body[len("arrow "):], ":", "->")
+            if names is None:
                 raise ParseError(lineno, 1, "expected: arrow NAME : A -> B")
-            builder.arrows.append((m.group(1), m.group(2), m.group(3), lineno))
+            builder.arrows.append((*names, lineno))
         elif body.startswith("compose "):
-            m = re.fullmatch(
-                rf"compose\s+({_NAME})\s*\.\s*({_NAME})\s*=\s*({_NAME})", body)
-            if not m:
+            names = _names(body[len("compose "):], ".", "=")
+            if names is None:
                 raise ParseError(lineno, 1, "expected: compose G . F = H")
-            builder.composites.append((m.group(1), m.group(2), m.group(3), lineno))
+            builder.composites.append((*names, lineno))
         elif body.startswith("poset"):
-            m = re.fullmatch(r"poset\s*\{(.*)\}", body, re.DOTALL)
-            if not m:
+            inner = _block(body, "poset")
+            if inner is None:
                 raise ParseError(lineno, 1, "expected: poset { A < B ... }")
             relations, leftover = _relations(  # the block's k-th line is lineno + k
                 [(lineno + k, text.replace(";", " "))
-                 for k, text in enumerate(m.group(1).split("\n"))])
+                 for k, text in enumerate(inner.split("\n"))])
             builder.poset_relations.extend(relations)
             if leftover:
                 raise ParseError(leftover[0], 1,
                                  f"unrecognized poset content {leftover[1]!r}")
         elif body.startswith("cover "):
-            m = re.fullmatch(
-                rf"cover\s+({_NAME})\s*<-\s*\[([^\]]*)\]", body)
-            if not m:
+            cover = _legs(body[len("cover "):])
+            if cover is None:
                 raise ParseError(lineno, 1, "expected: cover B <- [F1, F2, ...]")
-            legs = [s.strip() for s in m.group(2).split(",") if s.strip()]
-            builder.covers.append((m.group(1), legs, lineno))
+            builder.covers.append((*cover, lineno))
         else:
             raise ParseError(lineno, 1, f"unrecognized directive {body.split()[0]!r}")
     return _assemble_site(builder)
@@ -179,13 +221,13 @@ def _assemble_site(builder: _SiteBuilder) -> SiteSpec:
         cat = poset_category(leq, tuple(names))
     else:
         index = {name: i for i, name in enumerate(builder.objects)}
+        identities = {f"id_{obj}": index[obj] for obj in builder.objects}
         arrow_ids = {}
         for name, _, _, lineno in builder.arrows:
-            if name in arrow_ids or name in index:
+            if name in arrow_ids or name in index or name in identities:
                 raise ParseError(lineno, 1, f"duplicate arrow name {name!r}")
             arrow_ids[name] = len(builder.objects) + len(arrow_ids)
-        for obj in builder.objects:
-            arrow_ids[f"id_{obj}"] = index[obj]
+        arrow_ids.update(identities)
 
         def mor_id(name, lineno):
             if name not in arrow_ids:
@@ -243,13 +285,13 @@ def print_site(site: SiteSpec) -> str:
 
 
 def _parse_lattice_block(lineno: int, body: str):
-    m = re.fullmatch(r"lattice\s*\{(.*)\}", body, re.DOTALL)
-    if not m:
+    inner = _block(body, "lattice")
+    if inner is None:
         raise ParseError(lineno, 1, "expected: lattice { ... }")
     element_lines = []  # each (physical line, text); the block's k-th line is lineno + k
     relation_lines = []
     join_lines = []
-    for k, line in enumerate(m.group(1).splitlines()):
+    for k, line in enumerate(inner.splitlines()):
         line = line.strip()
         if not line:
             continue
@@ -263,18 +305,18 @@ def _parse_lattice_block(lineno: int, body: str):
         at = element_lines[1][0] if element_lines else lineno
         raise ParseError(at, 1, "lattice block needs one elements: list")
     at, line = element_lines[0]
-    em = re.fullmatch(rf"elements\s*:\s*((?:{_NAME}\s*)+)", line)
-    if not em:
+    pieces = _cut(line[len("elements"):], ":")
+    names = pieces[1].split() if pieces and not pieces[0] else []
+    if not (names and all(map(_is_name, names))):
         raise ParseError(at, 1, "bad elements: list")
-    names = em.group(1).split()
     index = {name: i for i, name in enumerate(names)}
     prescribed = []
     for at, line in join_lines:
-        jm = re.fullmatch(rf"join\s+({_NAME})\s*<-\s*\[([^\]]*)\]", line)
-        if not jm:
+        rest = line[len("join"):]
+        join = _legs(rest) if rest[:1].isspace() else None
+        if join is None:
             raise ParseError(at, 1, "expected: join J <- [A, B, ...]")
-        target = jm.group(1)
-        members = [s.strip() for s in jm.group(2).split(",") if s.strip()]
+        target, members = join
         for name in [target] + members:
             if name not in index:
                 raise ParseError(at, 1, f"unknown lattice element {name!r}")

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -20,11 +21,14 @@ from finsite.chase import (BUDGET_EXCEEDED, CONTAINED, INCONCLUSIVE, STABILIZED,
                            WITNESS, Cotree, SeparationResult, _task_list,
                            branch_colimit, run_branch, unpairing)
 from finsite.eventual import CTilde, NatTable
+from finsite.fileformat import (ParseError, ValidationError, _SiteBuilder,
+                                _assemble_site, _logical_lines)
 from finsite.fincat import (CONTRAVARIANT, COVARIANT, UNDEFINED, FinCategory,
                             FunctorData, NatTransData, SetValuedFunctor, check_nat,
-                            identity_nat, kept, make_category, poset_category,
-                            validate_functor, validate_set_functor)
-from finsite.lattice import FinLattice, _canonical_form, downset_lattice
+                            identity_nat, kept, make_category, order_closure,
+                            poset_category, validate_functor, validate_set_functor)
+from finsite.lattice import (FinLattice, _canonical_form, downset_lattice,
+                             validate_lattice)
 from finsite.models import UnionFind, elements_category
 from finsite.presheaf import _sorted_arrows, matching_families
 from finsite.site import (Family, SaturationResult, Sieve, SiteSpec, all_sieves,
@@ -1072,3 +1076,139 @@ def slow_is_effective_epi(cat: FinCategory, f: int) -> bool:
         if len(hs) != 1:
             return False
     return True
+
+
+# The reader of site and lattice files as fileformat wrote it with regular
+# expressions, kept verbatim as the oracle of its str-method line parsers.
+# Both share the logical-line split and the site assembly.
+
+_NAME = r"[A-Za-z0-9_★∅]+"
+_RELATION = re.compile(rf"({_NAME})\s*<\s*({_NAME})")
+
+
+def _regex_relations(lines):
+    """The ``A < B`` relations in ``lines``, (physical line, text) pairs read
+    as one space-joined chunk, as [(A, B, line)]; and the line where other
+    content starts with the text of all of it, or None."""
+    block = "\n".join(text for _, text in lines)
+    chunk = block.replace("\n", " ")
+
+    def line_at(pos):
+        return lines[block.count("\n", 0, pos)][0]
+    relations = [(rel.group(1), rel.group(2), line_at(rel.start()))
+                 for rel in _RELATION.finditer(chunk)]
+    stray = re.search(r"\S", _RELATION.sub(lambda rel: " " * len(rel.group(0)), chunk))
+    if stray is None:
+        return relations, None
+    return relations, (line_at(stray.start()), _RELATION.sub("", chunk).strip())
+
+
+def regex_parse_document(text: str):
+    """``fileformat.parse_document`` with the regular-expression line parsers."""
+    lines = _logical_lines(text)
+    for lineno, body in lines:
+        if body.startswith("lattice"):
+            return _regex_parse_lattice_block(lineno, body)
+    return _regex_parse_site_lines(lines)
+
+
+def _regex_parse_site_lines(lines) -> SiteSpec:
+    builder = _SiteBuilder([], [], [], [], [])
+    for lineno, body in lines:
+        if body.startswith("object "):
+            name = body[len("object "):].strip()
+            if not re.fullmatch(_NAME, name):
+                raise ParseError(lineno, len("object ") + 1, f"bad object name {name!r}")
+            if name in builder.objects:
+                raise ParseError(lineno, 1, f"duplicate object {name!r}")
+            builder.objects.append(name)
+        elif body.startswith("arrow "):
+            m = re.fullmatch(
+                rf"arrow\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})", body)
+            if not m:
+                raise ParseError(lineno, 1, "expected: arrow NAME : A -> B")
+            builder.arrows.append((m.group(1), m.group(2), m.group(3), lineno))
+        elif body.startswith("compose "):
+            m = re.fullmatch(
+                rf"compose\s+({_NAME})\s*\.\s*({_NAME})\s*=\s*({_NAME})", body)
+            if not m:
+                raise ParseError(lineno, 1, "expected: compose G . F = H")
+            builder.composites.append((m.group(1), m.group(2), m.group(3), lineno))
+        elif body.startswith("poset"):
+            m = re.fullmatch(r"poset\s*\{(.*)\}", body, re.DOTALL)
+            if not m:
+                raise ParseError(lineno, 1, "expected: poset { A < B ... }")
+            relations, leftover = _regex_relations(  # the block's k-th line is lineno + k
+                [(lineno + k, text.replace(";", " "))
+                 for k, text in enumerate(m.group(1).split("\n"))])
+            builder.poset_relations.extend(relations)
+            if leftover:
+                raise ParseError(leftover[0], 1,
+                                 f"unrecognized poset content {leftover[1]!r}")
+        elif body.startswith("cover "):
+            m = re.fullmatch(
+                rf"cover\s+({_NAME})\s*<-\s*\[([^\]]*)\]", body)
+            if not m:
+                raise ParseError(lineno, 1, "expected: cover B <- [F1, F2, ...]")
+            legs = [s.strip() for s in m.group(2).split(",") if s.strip()]
+            builder.covers.append((m.group(1), legs, lineno))
+        else:
+            raise ParseError(lineno, 1, f"unrecognized directive {body.split()[0]!r}")
+    return _assemble_site(builder)
+
+
+def _regex_parse_lattice_block(lineno: int, body: str):
+    m = re.fullmatch(r"lattice\s*\{(.*)\}", body, re.DOTALL)
+    if not m:
+        raise ParseError(lineno, 1, "expected: lattice { ... }")
+    element_lines = []  # each (physical line, text); the block's k-th line is lineno + k
+    relation_lines = []
+    join_lines = []
+    for k, line in enumerate(m.group(1).splitlines()):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("elements"):
+            element_lines.append((lineno + k, line))
+        elif line.startswith("join"):
+            join_lines.append((lineno + k, line))
+        else:
+            relation_lines.append((lineno + k, line))
+    if len(element_lines) != 1:
+        at = element_lines[1][0] if element_lines else lineno
+        raise ParseError(at, 1, "lattice block needs one elements: list")
+    at, line = element_lines[0]
+    em = re.fullmatch(rf"elements\s*:\s*((?:{_NAME}\s*)+)", line)
+    if not em:
+        raise ParseError(at, 1, "bad elements: list")
+    names = em.group(1).split()
+    index = {name: i for i, name in enumerate(names)}
+    prescribed = []
+    for at, line in join_lines:
+        jm = re.fullmatch(rf"join\s+({_NAME})\s*<-\s*\[([^\]]*)\]", line)
+        if not jm:
+            raise ParseError(at, 1, "expected: join J <- [A, B, ...]")
+        target = jm.group(1)
+        members = [s.strip() for s in jm.group(2).split(",") if s.strip()]
+        for name in [target] + members:
+            if name not in index:
+                raise ParseError(at, 1, f"unknown lattice element {name!r}")
+        prescribed.append((index[target], tuple(index[name] for name in members)))
+    relation = []
+    relations, leftover = _regex_relations(relation_lines)
+    for a, b, at in relations:
+        if a not in index or b not in index:
+            raise ParseError(at, 1, f"unknown lattice element in {a!r} < {b!r}")
+        relation.append((index[a], index[b]))
+    if leftover:
+        raise ParseError(leftover[0], 1, f"unrecognized lattice content {leftover[1]!r}")
+    leq = order_closure(len(names), relation)
+    lat = FinLattice(tuple(tuple(row) for row in leq), tuple(names))
+    violations = validate_lattice(lat)
+    if violations:
+        raise ValidationError(violations)
+    for target, members in prescribed:
+        if lat.join_of(members) != target:
+            raise ValidationError(
+                [f"declared join of {members} is not {lat.name(target)}"])
+    return lat, tuple(members for _, members in prescribed)

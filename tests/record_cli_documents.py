@@ -15,7 +15,8 @@ natural transformations in enumeration order.  The poset sites are named
 and covered as the benchmark's ladder writes them; every site that is not
 a fixture is written to a temporary file.  The error cases are
 ``check --json`` and ``saturate --json`` on malformed files, one for each
-``ParseError`` message a file can raise and one that fails validation.  Each
+``ParseError`` message a file can raise, one that fails validation and one
+with an arrow named like an identity.  Each
 document is kept as its exit code and the SHA-256 of its stdout bytes.
 
 Run from the root of a checkout, only when a change to the chase, the
@@ -178,6 +179,8 @@ MALFORMED_FILES = {
     "unknown_relation_element.lat": "lattice {\n  elements: a b\n  a < c\n}\n",
     "lattice_content.lat": "lattice {\n  elements: a b\n  a < b\n  b ? a\n}\n",
     "no_terminal.site": "object x\nobject y\n",
+    # an arrow may not take the name of an identity
+    "identity_arrow_name.site": "object a\narrow id_a : a -> a\ncover a <- [id_a]\n",
 }
 
 
