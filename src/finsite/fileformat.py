@@ -97,9 +97,9 @@ def _relations(lines):
     relations = [(rel.group(1), rel.group(2), line_at(rel.start()))
                  for rel in re.finditer(_RELATION, chunk)]
     masked = re.sub(_RELATION, lambda rel: " " * len(rel.group(0)), chunk)
-    stray = len(masked) - len(masked.lstrip())
-    if stray == len(masked):
+    if not masked.strip():
         return relations, None
+    stray = len(masked) - len(masked.lstrip())
     return relations, (line_at(stray), re.sub(_RELATION, "", chunk).strip())
 
 

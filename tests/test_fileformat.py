@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite import fileformat, fixtures
-from finsite.fileformat import ParseError, parse_document, parse_site, print_site
+from finsite.fileformat import (ParseError, ValidationError, parse_document, parse_site,
+                                print_site)
 from finsite.fincat import poset_category
 
 from helpers import (cospan_only_category, discrete2_category, equalized_fork_category,
@@ -27,10 +28,10 @@ def _poset_site(name):
 
 def _outcome(parse, text):
     """What ``parse`` makes of ``text``: its value, or its error's type,
-    message, position and violations."""
+    message, position and violations; any other exception fails the test."""
     try:
         return parse(text)
-    except Exception as exc:  # every error the two readers may raise
+    except (ParseError, ValidationError) as exc:
         return (type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None), getattr(exc, "violations", None))
 
