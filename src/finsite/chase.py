@@ -25,6 +25,7 @@ DEAD = "DEAD"
 BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 FIRST_LEG = "first-leg"
+BUDGET = 64  # the default number of chase steps, in the library and the CLI
 
 
 def pairing(alpha: int, beta: int) -> int:
@@ -153,7 +154,7 @@ def solve_task(site: SiteSpec, branch_chain, stage: int, task: Task, leg_index: 
 
 
 def run_branch(site: SiteSpec, root: int, strategy=FIRST_LEG,
-               budget: int = 64) -> ChaseBranch:
+               budget: int = BUDGET) -> ChaseBranch:
     """Run one branch for at most ``budget`` solving steps.
 
     Step n solves task (alpha, beta) = unpairing(n) from column beta, the
@@ -229,7 +230,7 @@ class Cotree:
     pruned: bool  # a width limit actually cut leg options somewhere
 
 
-def explore_cotree(site: SiteSpec, root: int, budget: int = 64,
+def explore_cotree(site: SiteSpec, root: int, budget: int = BUDGET,
                    width: int | None = None) -> Cotree:
     """Expand the leg options of every scheduled task, depth-limited by the
     budget and breadth-limited by the width (all legs when width is None),
@@ -316,7 +317,7 @@ class SeparationResult:
 
 
 def separate_subobjects(site: SiteSpec, x: int, u: int, v: int,
-                        budget: int = 64, width: int | None = None) -> SeparationResult:
+                        budget: int = BUDGET, width: int | None = None) -> SeparationResult:
     """u <= v iff u factors through v; when it does not, some stabilized
     branch colimit rooted at dom(u) keeps the generic point of u outside the
     image of v, and that witness is returned re-verified."""
@@ -337,7 +338,7 @@ class CoverCheckResult:
     countermodel: Model | None = None
 
 
-def family_jointly_covers(site: SiteSpec, fam: Family, budget: int = 64,
+def family_jointly_covers(site: SiteSpec, fam: Family, budget: int = BUDGET,
                           width: int | None = None) -> CoverCheckResult:
     """Chase-based cover detection: the family covers iff, in every branch
     colimit that is a model, the family's image holds the generic point,

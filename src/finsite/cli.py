@@ -9,7 +9,6 @@ so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
@@ -26,6 +25,7 @@ EXIT_INPUT = 3
 
 
 def _digest(text: str) -> str:
+    import hashlib  # only a JSON document prints the digest
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -112,7 +112,7 @@ def cmd_chase(args, parsed):
     cat = spec.cat
     root = _resolve_object(cat, args.root)
     strategy = chase.FIRST_LEG
-    if args.strategy != "first-leg":
+    if args.strategy != chase.FIRST_LEG:
         if not args.strategy.startswith("choices="):
             raise ValueError("strategy must be first-leg or choices=0,1,...")
         strategy = tuple(int(s) for s in args.strategy[len("choices="):].split(",") if s)
@@ -123,14 +123,13 @@ def cmd_chase(args, parsed):
                   for obj, con in branch.chain],
         "steps": len(branch.choices),
     }
-    witnesses = []
     if branch.status in (chase.STABILIZED, chase.DEAD):
         model = chase.branch_colimit(branch)
         result["colimit"] = _model_json(cat, model.functor)
         result["is_lex"] = model.is_lex
         result["preserves_nonempty_covers"] = model.preserves_covers
     code = EXIT_OK if branch.status != chase.BUDGET_EXCEEDED else EXIT_INCONCLUSIVE
-    return code, result, witnesses, {"steps": len(branch.choices)}
+    return code, result, [], {"steps": len(branch.choices)}
 
 
 def cmd_separate(args, parsed):
@@ -254,17 +253,38 @@ def cmd_eta_check(args, parsed):
     return (EXIT_OK if ok else EXIT_REFUTED), result, [], {"models": len(mods)}
 
 
-HANDLERS = {
-    "check": cmd_check,
-    "saturate": cmd_saturate,
-    "models": cmd_models,
-    "chase": cmd_chase,
-    "separate": cmd_separate,
-    "sheafify": cmd_sheafify,
-    "factor": cmd_factor,
-    "lattice-embed": cmd_lattice_embed,
-    "delta-check": cmd_delta_check,
-    "eta-check": cmd_eta_check,
+def _non_negative(text: str) -> int:
+    """An argparse type for a budget or a width: an int, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_non_negative.__name__ = "non-negative int"  # argparse's "invalid ... value" names it
+
+
+_REQUIRED = {"required": True}
+_BOUND = {"type": int, "default": 1}
+_BUDGET = {"type": _non_negative, "default": chase.BUDGET}
+
+# command -> (handler, the flags it reads beyond the file and --json)
+COMMANDS = {
+    "check": (cmd_check, {}),
+    "saturate": (cmd_saturate, {}),
+    "models": (cmd_models, {"--bound": _BOUND}),
+    "chase": (cmd_chase, {"--root": _REQUIRED, "--budget": _BUDGET,
+                          "--strategy": {"default": chase.FIRST_LEG}}),
+    "separate": (cmd_separate, {"--object": _REQUIRED, "--u": _REQUIRED,
+                                "--v": _REQUIRED, "--budget": _BUDGET,
+                                "--width": {"type": _non_negative, "default": 0}}),
+    "sheafify": (cmd_sheafify, {"--object": _REQUIRED}),
+    "factor": (cmd_factor, {"--source": _REQUIRED, "--target": _REQUIRED}),
+    "lattice-embed": (cmd_lattice_embed, {
+        "--method": {"choices": ["birkhoff", "models", "both"], "default": "both"},
+        "--budget": _BUDGET}),
+    "delta-check": (cmd_delta_check, {"--bound": _BOUND}),
+    "eta-check": (cmd_eta_check, {"--bound": _BOUND}),
 }
 
 
@@ -274,51 +294,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-# command -> the flags it takes beyond the common ones
-_FLAGS = {
-    "check": {},
-    "saturate": {},
-    "models": {},
-    "chase": {"--root": {"required": True}},
-    "separate": {"--object": {"required": True},
-                 "--u": {"required": True}, "--v": {"required": True}},
-    "sheafify": {"--object": {"required": True}},
-    "factor": {"--source": {"required": True}, "--target": {"required": True}},
-    "lattice-embed": {"--method": {"choices": ["birkhoff", "models", "both"],
-                                   "default": "both"}},
-    "delta-check": {},
-    "eta-check": {},
-}
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of every command or, given a command's name, of that one
     command alone.  The one-command parser reads that command's argument
     lists as the full parser does, with the same help, usage lines (they
     still name every command), errors and exit codes."""
     parser = _Parser(prog="finsite")
-    if command in _FLAGS:
+    if command in COMMANDS:
         names = [command]
-        metavar = "{" + ",".join(_FLAGS) + "}"
+        metavar = "{" + ",".join(COMMANDS) + "}"
     else:
-        names, metavar = list(_FLAGS), None
+        names, metavar = list(COMMANDS), None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         p = sub.add_parser(name)
         p.add_argument("file")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--bound", type=int, default=1)
-        p.add_argument("--budget", type=int, default=64)
-        p.add_argument("--width", type=int, default=0)
-        p.add_argument("--strategy", default="first-leg")
-        for flag, kwargs in _FLAGS[name].items():
+        for flag, kwargs in COMMANDS[name][1].items():
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def _emit(args, command, digest, code, result, witnesses, timings):
+def _emit(args, command, text, code, result, witnesses, timings):
     if args.json:
-        document = {"command": command, "input_digest": digest,
+        document = {"command": command, "input_digest": _digest(text),
                     "result": result, "witnesses": witnesses, "timings": timings}
         sys.stdout.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
     else:
@@ -352,7 +351,7 @@ def main(argv=None) -> int:
     except (OSError, ParseError) as exc:
         return _input_error(args, command, str(exc))
     try:
-        code, result, witnesses, timings = HANDLERS[command](args, parsed)
+        code, result, witnesses, timings = COMMANDS[command][0](args, parsed)
     except (site_mod.TooManySievesError, eventual.BoundTooSmallError,
             lattice.InconclusiveError) as exc:  # a valid input the search cannot settle
         code, result, witnesses, timings = EXIT_INCONCLUSIVE, {
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
         f, g = (parsed.cat.mor_name(arrow) for arrow in exc.cospan)
         return _input_error(args, command,
                             f"the site has no pullback of the cospan ({f}, {g})")
-    return _emit(args, command, _digest(text), code, result, witnesses, timings)
+    return _emit(args, command, text, code, result, witnesses, timings)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .fincat import make_category, order_closure, poset_category
-from .lattice import FinLattice
+from .lattice import FinLattice, validate_lattice
 from .site import Family, SiteSpec, validate_site
 
 
@@ -331,7 +331,6 @@ def _parse_lattice_block(lineno: int, body: str):
         raise ParseError(leftover[0], 1, f"unrecognized lattice content {leftover[1]!r}")
     leq = order_closure(len(names), relation)
     lat = FinLattice(tuple(tuple(row) for row in leq), tuple(names))
-    from .lattice import validate_lattice
     violations = validate_lattice(lat)
     if violations:
         raise ValidationError(violations)

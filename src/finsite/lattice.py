@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chase import CONTAINED, WITNESS, separate_subobjects
+from .chase import BUDGET, CONTAINED, WITNESS, separate_subobjects
 from .fincat import order_closure, poset_category
 from .site import Family, SiteSpec
 
@@ -206,7 +206,7 @@ def lattice_site(lat: FinLattice, prescribed=()) -> SiteSpec:
     return SiteSpec.make(cat, covers)
 
 
-def model_embed(lat: FinLattice, prescribed=(), budget: int = 64) -> Embedding:
+def model_embed(lat: FinLattice, prescribed=(), budget: int = BUDGET) -> Embedding:
     """The corollary's model route: separate every non-contained pair by a
     chase witness; the two-valued witnesses index the powerset.
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import (CONTRAVARIANT, FinCategory, NatTransData, SetValuedFunctor,
-                     all_nat_transformations, compatible_families, compose_nat,
-                     kept, op_category, order_closure, representable_presheaf)
+                     all_nat_transformations, check_nat, compatible_families,
+                     compose_nat, kept, op_category, order_closure,
+                     representable_presheaf)
 from .site import Sieve, SieveTopology, SiteSpec, site_topology
 
 
@@ -296,7 +297,6 @@ def factor_through_cover(site: SiteSpec, alpha: NatTransData,
     is among them the identity family is returned, otherwise the
     factoring-maximal arrows (which generate the same sieve).
     """
-    from .fincat import check_nat
     cat = site.cat
     topology = site_topology(site)
     sh_x = ay(site, x)

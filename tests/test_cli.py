@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from finsite import chase, fixtures, lattice
-from finsite.cli import _FLAGS, HANDLERS, build_parser, main
+from finsite.cli import COMMANDS, build_parser, main
 from finsite.fincat import compose_nat, make_category, representable_presheaf
 from finsite.fileformat import (ParseError, ValidationError, parse_document,
                                 parse_site, print_site)
@@ -465,7 +465,13 @@ def _parsed(capsys, parser, argv):
     return captured.out, captured.err, outcome
 
 
-@pytest.mark.parametrize("command", list(HANDLERS))
+def _required(command):
+    """The required flags of a command, each given the value ``a``."""
+    return [word for flag, kwargs in COMMANDS[command][1].items()
+            if kwargs.get("required") for word in (flag, "a")]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
 def test_one_command_parser_reads_its_argv_as_the_full_parser(capsys, command):
     """``main`` builds only the invoked command's subparser; help, the four
     usage errors, an extra argument and a good argv come out byte-identical
@@ -477,17 +483,110 @@ def test_one_command_parser_reads_its_argv_as_the_full_parser(capsys, command):
     path = fixture_path("diamond.site")
     for argv in ([command, "-h"],
                  [command],                                # missing file
-                 [command, path, "--bound", "x"],          # not an integer
+                 [command, path, "--bound", "x"],          # not an integer or unread
                  [command + "x", path],                    # unknown subcommand
                  [command, path, "--frobnicate"],          # unknown flag
                  [command, path, "extra"],
-                 [command, path, "--json", "--bound", "2"]):
+                 [command, path, "--json", "--bound", "2"],
+                 [command, path, *_required(command), "--json"]):
         expected = _parsed(capsys, build_parser(), argv)
         assert _parsed(capsys, build_parser(argv[0]), argv) == expected, argv
-    required = [word for flag, kwargs in _FLAGS[command].items()
-                if kwargs.get("required") for word in (flag, "a")]
-    _, err, code = _parsed(capsys, one, [command, path, *required, "--frobnicate"])
-    assert code == 3 and "{" + ",".join(HANDLERS) + "}" in err  # every command
+    _, err, code = _parsed(capsys, one, [command, path, *_required(command),
+                                         "--frobnicate"])
+    assert code == 3 and "{" + ",".join(COMMANDS) + "}" in err  # every command
+
+
+SHARED_FLAGS = {"--bound": ("2", 2), "--budget": ("5", 5), "--width": ("3", 3),
+                "--strategy": ("choices=0,1", "choices=0,1")}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_command_takes_only_the_flags_it_reads(capsys, command):
+    """Of the four flags that every command used to take, one that the
+    command's handler does not read is a usage error; one that it reads
+    parses to its value."""
+    path = fixture_path("diamond.site")
+    flags = COMMANDS[command][1]
+    for flag, (text, value) in SHARED_FLAGS.items():
+        argv = [command, path, *_required(command), flag, text]
+        if flag in flags:
+            assert getattr(build_parser(command).parse_args(argv), flag[2:]) == value
+            continue
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: finsite"), argv
+        assert f"unrecognized arguments: {flag} {text}" in captured.err
+
+
+class _ReadRecorder:
+    """Parsed arguments that record the name of each one a handler reads."""
+
+    def __init__(self, args):
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+HANDLER_ARGVS = {
+    "check": ["diamond.site"],
+    "saturate": ["diamond.site"],
+    "models": ["diamond.site"],
+    "chase": ["diamond.site", "--root", "1"],
+    "separate": ["diamond.site", "--object", "1", "--u", "a", "--v", "b"],
+    "sheafify": ["diamond.site", "--object", "1"],
+    "factor": ["diamond.site", "--source", "a", "--target", "1"],
+    "lattice-embed": ["diamond.lat"],
+    "delta-check": ["diamond.site"],
+    "eta-check": ["diamond.site"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_a_handler_reads_exactly_the_flags_of_its_command(command):
+    """``COMMANDS`` gives each handler the flags it reads and no other; the
+    file and ``--json`` are read by ``main``."""
+    name, *rest = HANDLER_ARGVS[command]
+    path = fixture_path(name)
+    handler, flags = COMMANDS[command]
+    args = _ReadRecorder(build_parser(command).parse_args([command, path, *rest]))
+    with open(path, encoding="utf-8") as handle:
+        handler(args, parse_document(handle.read()))
+    assert args.read == {flag[2:] for flag in flags}
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "diamond.site", "--object", "1", "--u", "a", "--v", "b", "--width", "-1"],
+    ["separate", "diamond.site", "--object", "1", "--u", "a", "--v", "b", "--budget", "-1"],
+    ["chase", "diamond.site", "--root", "1", "--budget", "-1"],
+    ["lattice-embed", "diamond.lat", "--budget", "-1"],
+])
+def test_a_negative_budget_or_width_is_a_usage_error(capsys, argv):
+    """A negative width used to mean "unlimited" and a negative budget an
+    INCONCLUSIVE verdict with no search."""
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], fixture_path(argv[1]), *argv[2:]])
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: finsite")
+    assert f"argument {argv[-2]}: invalid non-negative int value: '-1'" in captured.err
+
+
+def test_a_zero_budget_or_width_keeps_its_meaning(capsys):
+    """Budget 0 runs no chase step; width 0 is unlimited, the default."""
+    path = fixture_path("diamond.site")
+    separate = ["separate", path, "--object", "1", "--u", "a", "--v", "b", "--json"]
+    assert run_cli(capsys, *separate, "--width", "0") == run_cli(capsys, *separate)
+    code, out = run_cli(capsys, *separate, "--budget", "0")
+    assert code == 2 and json.loads(out)["result"]["verdict"] == "INCONCLUSIVE"
+    code, out = run_cli(capsys, "chase", path, "--root", "1", "--budget", "0", "--json")
+    assert code == 2 and json.loads(out)["result"]["steps"] == 0
+    code, out = run_cli(capsys, "lattice-embed", fixture_path("diamond.lat"),
+                        "--budget", "0", "--json")
+    assert code == 2 and json.loads(out)["result"]["verdict"] == "INCONCLUSIVE"
 
 
 def test_help_exits_zero(capsys):
